@@ -61,8 +61,11 @@ class ConfigParseError(ArwError):
     """Config file is not syntactically valid; carries line information."""
 
 
-class ValidationError(ArwError):
-    """Config or argument value is structurally invalid; names the field."""
+class ValidationError(ArwError, ValueError):
+    """Config or argument value is structurally invalid; names the field.
+
+    Also a ValueError, so callers that guard library calls with
+    `except ValueError` keep working."""
 
 
 class IoError(ArwError):

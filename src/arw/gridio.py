@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 
-from .errors import IoError
+from .errors import IoError, ValidationError
 from .field import FieldGrid
 
 MAGIC = b"ARWG"
@@ -43,9 +43,13 @@ def read_grid(path: str) -> FieldGrid:
             body = fh.read()
     except OSError as exc:
         raise IoError(str(exc)) from exc
+    if d < 1 or M < 1:
+        raise ValidationError(f"{path}: grid needs d >= 1 and M >= 1, got d={d}, M={M}")
     expected = M**d * 8
     if len(body) != expected:
         raise IoError(f"{path}: expected {expected} data bytes, got {len(body)}")
     values = np.frombuffer(body, dtype="<f8").reshape((M,) * d).astype(float)
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{path}: grid contains non-finite values")
     values.setflags(write=False)
     return FieldGrid(d=d, n=n, M=M, values=values, seed=seed, trial_index=trial_index)

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyShell, Overflow, UnknownPolicy
+from .errors import EmptyShell, Overflow, UnknownPolicy, ValidationError
 
 INT64_MAX = 2**63 - 1
 
@@ -33,7 +33,7 @@ def _check_n(n: int) -> None:
     if n > INT64_MAX:
         raise Overflow(f"n={n} exceeds the signed 64-bit range")
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise ValidationError("n must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def enumerate_shell(d: int, n: int) -> LatticeShell:
     error.  Raises Overflow if n exceeds the 64-bit contract.
     """
     if d < 1:
-        raise ValueError("d must be >= 1")
+        raise ValidationError("d must be >= 1")
     _check_n(n)
     pts = _enumerate_points(d, n)
     points = np.array(pts, dtype=np.int64).reshape(len(pts), d)
@@ -134,22 +134,27 @@ _REP_TABLE_CACHE: dict[int, np.ndarray] = {}
 
 
 def _rep_table(k: int, n_max: int) -> np.ndarray:
-    """Table of r_k(m) for m <= n_max, by iterated convolution with R1."""
+    """Table of r_k(m) for m <= n_max, by iterated convolution with R1.
+
+    A cached table too short for n_max is rebuilt at least twice as long,
+    so a loop over rising n rebuilds O(log n) times, not once per n.
+    """
     cached = _REP_TABLE_CACHE.get(k)
     if cached is not None and len(cached) > n_max:
         return cached[: n_max + 1]
+    size = n_max if cached is None else max(n_max, 2 * len(cached))
     if k == 1:
-        table = _square_count_table(n_max)
+        table = _square_count_table(size)
     else:
-        prev = _rep_table(k - 1, n_max)
+        prev = _rep_table(k - 1, size)
         table = prev.copy()  # a = 0 term
         a = 1
-        while a * a <= n_max:
+        while a * a <= size:
             sq = a * a
-            table[sq:] += 2 * prev[: n_max + 1 - sq]
+            table[sq:] += 2 * prev[: size + 1 - sq]
             a += 1
     _REP_TABLE_CACHE[k] = table
-    return table
+    return table[: n_max + 1]
 
 
 def representation_count(d: int, n: int) -> int:
@@ -160,7 +165,7 @@ def representation_count(d: int, n: int) -> int:
     by convolving the 1-D square-count function with itself.
     """
     if d < 1:
-        raise ValueError("d must be >= 1")
+        raise ValidationError("d must be >= 1")
     _check_n(n)
     if n == 0:
         return 1
@@ -180,7 +185,7 @@ def jacobi_four_square_count(n: int) -> int:
     """Jacobi's count of representations by four squares: 8 * sum of
     divisors of n not divisible by 4.  Independent divisor-sum oracle."""
     if n <= 0:
-        raise ValueError("n must be positive")
+        raise ValidationError("n must be positive")
     total = 0
     i = 1
     while i * i <= n:
@@ -198,7 +203,7 @@ def legendre_three_square_excluded(n: int) -> bool:
     """True iff n has the form 4^a (8b + 7), i.e. is not a sum of three
     squares.  Direct factoring oracle."""
     if n <= 0:
-        raise ValueError("n must be positive")
+        raise ValidationError("n must be positive")
     while n % 4 == 0:
         n //= 4
     return n % 8 == 7
@@ -329,7 +334,7 @@ def admissible_sequence(
     empty, since those carry no eigenfunctions.  An empty result is valid.
     """
     if n_min > n_max:
-        raise ValueError("n_min must be <= n_max")
+        raise ValidationError("n_min must be <= n_max")
     if policy not in POLICIES:
         raise UnknownPolicy(f"policy {policy!r}; expected one of {POLICIES}")
     _check_n(n_max)
@@ -383,7 +388,7 @@ def ball_moment_sweep(d: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     enumerating each shell separately would be quadratically wasteful.
     """
     if d < 2:
-        raise ValueError("d must be >= 2")
+        raise ValidationError("d must be >= 2")
     _check_n(n_max)
     if n_max * representation_count(d, n_max) > 2**52:
         raise Overflow("moment sums too large for exact float64 accumulation")

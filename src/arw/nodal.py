@@ -2,11 +2,14 @@
 
 Domains are face-connected sets of same-sign vertices; the zero set is
 tracked through mixed cells (grid hypercubes whose 2^d corners carry both
-signs).  Both are labeled with periodic wrap handling: patches from a
-non-periodic sweep are merged across the seam with an offset-tracking
-union-find, which simultaneously lifts each component to Z^d coordinates
-(for bounding-box diameters) and detects components that wind around the
-torus (inconsistent lift).
+signs).  Both counts label in-grid patches first (`ndimage.label` on each
+sign for domains, one sparse connected-components pass over mixed-cell
+nodes for the zero set) and then hand them to one kernel,
+`_merge_patches`.  It merges patches across the periodic seams and the
+d=2 saddle diagonals with an offset-tracking union-find (Newman & Ziff,
+2001), which lifts each component to Z^d coordinates (for bounding-box
+diameters) and detects components that wind around the torus
+(inconsistent lift).
 
 Counting on a grid is a discretization heuristic: two features closer than
 one cell can merge.  The `certified` flag combines a conservative
@@ -35,9 +38,11 @@ class SignGrid:
     """Vertex signs of a value grid; exact zeros count as + and are tallied.
 
     `center_plus` carries the sign of the cell-center value of the
-    multilinear interpolant (the corner mean), which resolves the
-    checkerboard ambiguity of saddle-straddling cells consistently for
-    both domain and component connectivity.
+    multilinear interpolant (the corner mean).  In d=2 it settles each
+    checkerboard (saddle-straddling) cell once for both counts: the
+    diagonal whose sign matches it links two domain patches, and the
+    cell's zero set becomes the two segments that cut off the corners of
+    the other diagonal.
     """
 
     d: int
@@ -73,8 +78,8 @@ class _OffsetUnionFind:
     """Union-find over patches carrying integer lift offsets to the root.
 
     `lift(x) = lift(parent(x)) + offset[x]`.  A union closing a cycle with
-    a mismatched offset marks the root as wrapping (the component winds
-    around the torus).
+    a mismatched offset marks its patch as wrapping: the component winds
+    around the torus.
     """
 
     def __init__(self, count: int, d: int):
@@ -83,21 +88,17 @@ class _OffsetUnionFind:
         self.wrapped: set[int] = set()
 
     def find(self, x: int) -> tuple[int, np.ndarray]:
-        root = x
+        """Root of x and lift(x) - lift(root), compressing the path."""
+        path = []
+        while self.parent[x] != x:
+            path.append(x)
+            x = self.parent[x]
         total = np.zeros(self.offset.shape[1], dtype=np.int64)
-        while self.parent[root] != root:
-            total += self.offset[root]
-            root = self.parent[root]
-        node = x
-        acc = total.copy()
-        while self.parent[node] != node:
-            nxt = self.parent[node]
-            step = self.offset[node].copy()
-            self.offset[node] = acc
-            self.parent[node] = root
-            acc = acc - step
-            node = nxt
-        return root, total
+        for node in reversed(path):
+            total = total + self.offset[node]
+            self.offset[node] = total
+            self.parent[node] = x
+        return x, total
 
     def union(self, x: int, y: int, rel: np.ndarray) -> None:
         """Declare lift(y) = lift(x) + rel."""
@@ -109,19 +110,17 @@ class _OffsetUnionFind:
             return
         self.parent[ry] = rx
         self.offset[ry] = ox + rel - oy
-        if ry in self.wrapped:
-            self.wrapped.discard(ry)
-            self.wrapped.add(rx)
 
 
 @dataclass(frozen=True)
 class PeriodicLabeling:
-    """Components of a boolean mask on the periodic grid.
+    """Components of a periodic grid graph.
 
     `labels` assigns 1-based component ids in order of first raster-scan
     occurrence (0 = background), so labeling is independent of visitation
-    order.  `widths[c]` is the lifted bounding-box extent in cells per
-    axis; `wraps[c]` marks components with no consistent lift.
+    order.  `cells[c]` counts the component's nodes, `widths[c]` is its
+    lifted bounding-box extent in cells per axis; `wraps[c]` marks
+    components with no consistent lift.
     """
 
     count: int
@@ -131,128 +130,71 @@ class PeriodicLabeling:
     wraps: np.ndarray = field(repr=False)
 
 
-def periodic_label(mask: np.ndarray, extra_edges=None) -> PeriodicLabeling:
-    """Components of `mask` under face adjacency with periodic wrap.
+def _merge_patches(patch_labels, first, cells, lo, hi, links) -> PeriodicLabeling:
+    """Merge in-grid patches into periodic components (Newman & Ziff, 2001).
 
-    `extra_edges`, when given, is (coords_a, coords_b, rel): arrays of
-    native vertex coordinates (N, d) plus the Euclidean displacement from
-    a to b in the lift (N, d); both endpoints must lie in the mask.  Used
-    to resolve saddle cells with a diagonal connection.
+    Patches are numbered from 0; `patch_labels` holds patch + 1 at each
+    grid site (0 = none).  Per patch, `first` is its first raster key,
+    `cells` its node count and [lo, hi) its in-grid bounding box.  `links`
+    lists array triples (pa, pb, rel) declaring lift(pb) = lift(pa) + rel
+    across seams and saddles.  Components are ordered by smallest first key.
     """
-    d = mask.ndim
-    structure = ndimage.generate_binary_structure(d, 1)
-    labels0, npatch = ndimage.label(mask, structure=structure)
-    if npatch == 0:
-        return PeriodicLabeling(
-            count=0,
-            labels=np.zeros_like(labels0),
-            cells=np.zeros(0, dtype=np.int64),
-            widths=np.zeros((0, d), dtype=np.int64),
-            wraps=np.zeros(0, dtype=bool),
-        )
-    uf = _OffsetUnionFind(npatch + 1, d)
-    for axis in range(d):
-        size = mask.shape[axis]
-        lo = np.take(labels0, 0, axis=axis).ravel()
-        hi = np.take(labels0, size - 1, axis=axis).ravel()
-        sel = (lo > 0) & (hi > 0)
-        if not np.any(sel):
-            continue
-        rel = np.zeros(d, dtype=np.int64)
-        rel[axis] = size
-        pairs = np.unique(np.stack([hi[sel], lo[sel]], axis=1), axis=0)
-        for hp, lp in pairs:
-            uf.union(int(hp), int(lp), rel)
-    if extra_edges is not None:
-        coords_a, coords_b, rels = extra_edges
-        for va, vb, rel_ab in zip(coords_a, coords_b, rels):
-            pa = int(labels0[tuple(va)])
-            pb = int(labels0[tuple(vb)])
-            if pa == 0 or pb == 0:
-                raise ValueError("extra edge endpoint outside the mask")
-            # lift(patch of b) - lift(patch of a), including seam wraps
-            uf.union(pa, pb, np.asarray(va, dtype=np.int64) + rel_ab - vb)
+    npatch, d = lo.shape
+    rows = np.column_stack([np.concatenate(part) for part in zip(*links)])
+    rows = rows[np.lexsort(rows.T)]  # dedupe; np.unique(axis=0) is several times slower
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    rows = rows[keep]
+    uf = _OffsetUnionFind(npatch, d)
+    for row in rows:
+        uf.union(int(row[0]), int(row[1]), row[2:])
+    root = np.arange(npatch)
+    offset = np.zeros((npatch, d), dtype=np.int64)
+    for p in np.unique(rows[:, :2]):
+        root[p], offset[p] = uf.find(int(p))
 
-    objects = ndimage.find_objects(labels0)
-    patch_cells = np.bincount(labels0.ravel(), minlength=npatch + 1)[1:]
-
-    groups: dict[int, list[int]] = {}
-    offsets: dict[int, np.ndarray] = {}
-    for p in range(1, npatch + 1):
-        root, off = uf.find(p)
-        groups.setdefault(root, []).append(p)
-        offsets[p] = off
-    # canonical order: scipy labels patches in raster order, so the group
-    # containing the smallest patch id starts at the smallest linear index
-    roots = sorted(groups, key=lambda r: min(groups[r]))
-
+    roots, comp = np.unique(root, return_inverse=True)
     count = len(roots)
-    cells = np.zeros(count, dtype=np.int64)
-    widths = np.zeros((count, d), dtype=np.int64)
+    key = np.full(count, np.iinfo(np.int64).max)
+    np.minimum.at(key, comp, first)
+    comp = np.argsort(np.argsort(key))[comp]
+
+    comp_cells = np.bincount(comp, weights=cells, minlength=count).astype(np.int64)
+    comp_lo = np.full((count, d), np.iinfo(np.int64).max)
+    comp_hi = np.full((count, d), np.iinfo(np.int64).min)
+    np.minimum.at(comp_lo, comp, lo + offset)
+    np.maximum.at(comp_hi, comp, hi + offset)
     wraps = np.zeros(count, dtype=bool)
+    wraps[comp[list(uf.wrapped)]] = True
     table = np.zeros(npatch + 1, dtype=np.int32)
-    for ci, root in enumerate(roots):
-        members = groups[root]
-        cells[ci] = int(patch_cells[np.array(members) - 1].sum())
-        lo = np.full(d, np.iinfo(np.int64).max)
-        hi = np.full(d, np.iinfo(np.int64).min)
-        for p in members:
-            off = offsets[p]
-            for a in range(d):
-                sl = objects[p - 1][a]
-                lo[a] = min(lo[a], sl.start + off[a])
-                hi[a] = max(hi[a], sl.stop + off[a])
-        widths[ci] = hi - lo
-        wraps[ci] = root in uf.wrapped
-        for p in members:
-            table[p] = ci + 1
-    labels = table[labels0]
-    return PeriodicLabeling(count=count, labels=labels, cells=cells, widths=widths, wraps=wraps)
-
-
-def _ambiguous_cells(signs: np.ndarray) -> np.ndarray:
-    """d=2 checkerboard cells: equal diagonals, the two diagonals opposite."""
-    s00 = signs
-    s10 = np.roll(signs, -1, 0)
-    s01 = np.roll(signs, -1, 1)
-    s11 = np.roll(s10, -1, 1)
-    return (s00 == s11) & (s10 == s01) & (s00 != s10)
-
-
-def _diagonal_edges(sg: SignGrid, positive: bool):
-    """Diagonal domain connections through saddle cells whose center sign
-    matches `positive`; the connected diagonal is the one carrying that
-    sign.  d=2 only; higher dimensions keep plain face adjacency."""
-    if sg.d != 2:
-        return None
-    amb = _ambiguous_cells(sg.signs)
-    take = amb & (sg.center_plus == positive)
-    if not np.any(take):
-        return None
-    cells = np.argwhere(take)
-    # sign of the main diagonal (v00); connect it when it matches `positive`
-    main = sg.signs[take] == positive
-    M = sg.M
-    a_list, b_list, rel_list = [], [], []
-    main_cells = cells[main]
-    if len(main_cells):
-        a_list.append(main_cells)
-        b_list.append((main_cells + 1) % M)
-        rel_list.append(np.tile([1, 1], (len(main_cells), 1)))
-    anti_cells = cells[~main]
-    if len(anti_cells):
-        va = anti_cells.copy()
-        va[:, 0] = (va[:, 0] + 1) % M  # v10
-        vb = anti_cells.copy()
-        vb[:, 1] = (vb[:, 1] + 1) % M  # v01
-        a_list.append(va)
-        b_list.append(vb)
-        rel_list.append(np.tile([-1, 1], (len(anti_cells), 1)))
-    return (
-        np.concatenate(a_list),
-        np.concatenate(b_list),
-        np.concatenate(rel_list).astype(np.int64),
+    table[1:] = comp + 1
+    return PeriodicLabeling(
+        count=count,
+        labels=table[patch_labels],
+        cells=comp_cells,
+        widths=comp_hi - comp_lo,
+        wraps=wraps,
     )
+
+
+def _saddle_cells(sg: SignGrid) -> tuple[np.ndarray, np.ndarray]:
+    """d=2 checkerboard cells (equal diagonals, the two diagonals opposite),
+    split by the diagonal whose sign matches the center: `main` joins
+    v00-v11, `anti` joins v10-v01."""
+    s = sg.signs
+    s10 = np.roll(s, -1, 0)
+    s01 = np.roll(s, -1, 1)
+    s11 = np.roll(s10, -1, 1)
+    amb = (s == s11) & (s10 == s01) & (s != s10)
+    main = amb & (sg.center_plus == s)
+    return main, amb & ~main
+
+
+def _first_sites(labels: np.ndarray) -> np.ndarray:
+    """Raster index of each label's first site.  scipy numbers labels by
+    first occurrence, so the running maximum steps by one at each."""
+    running = np.maximum.accumulate(labels.ravel())
+    return np.flatnonzero(np.diff(running, prepend=0))
 
 
 def count_domains(sg: SignGrid) -> tuple[int, np.ndarray, np.ndarray]:
@@ -264,313 +206,47 @@ def count_domains(sg: SignGrid) -> tuple[int, np.ndarray, np.ndarray]:
     (r, volumes, labels); labels are 1-based in order of first raster
     occurrence across both signs, volumes are cell counts * h^d.
     """
-    pos = periodic_label(sg.signs, extra_edges=_diagonal_edges(sg, True))
-    neg = periodic_label(~sg.signs, extra_edges=_diagonal_edges(sg, False))
-    combined = pos.labels.astype(np.int64)
-    combined[neg.labels > 0] = neg.labels[neg.labels > 0].astype(np.int64) + pos.count
-    flat = combined.ravel()
-    uniq, first_idx = np.unique(flat, return_index=True)
-    order = np.argsort(np.argsort(first_idx))
-    table = np.zeros(pos.count + neg.count + 1, dtype=np.int32)
-    table[uniq] = order + 1
-    labels = table[combined]
-    r = pos.count + neg.count
-    cells = np.bincount(labels.ravel(), minlength=r + 1)[1:]
-    volumes = cells.astype(float) / float(sg.M**sg.d)
-    return r, volumes, labels
+    d, M = sg.d, sg.M
+    structure = ndimage.generate_binary_structure(d, 1)
+    pos, npos = ndimage.label(sg.signs, structure=structure)
+    neg, _ = ndimage.label(~sg.signs, structure=structure)
+    boxes = ndimage.find_objects(pos) + ndimage.find_objects(neg)
+    first = np.concatenate([_first_sites(pos), _first_sites(neg)])
+    patches = np.where(sg.signs, pos, neg + npos)
+    cells = np.bincount(patches.ravel(), minlength=len(boxes) + 1)[1:]
+    lo = np.array([[s.start for s in box] for box in boxes], dtype=np.int64)
+    hi = np.array([[s.stop for s in box] for box in boxes], dtype=np.int64)
 
-
-def _mixed_cells_and_faces(signs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Mixed-cell mask and, per axis, the mask of mixed shared faces.
-
-    Cell j spans vertices j + {0,1}^d (periodic).  `faces[a][j]` is True
-    when the face between cell j and cell j + e_a (the 2^(d-1) vertices at
-    offset e_a) carries both signs, i.e. the zero set crosses it.
-    """
-    d = signs.ndim
-    all_pos = signs.copy()
-    all_neg = ~signs
+    links = []
     for axis in range(d):
-        all_pos &= np.roll(all_pos, -1, axis=axis)
-        all_neg &= np.roll(all_neg, -1, axis=axis)
-    mixed = ~(all_pos | all_neg)
-
-    faces: list[np.ndarray] = []
-    for axis in range(d):
-        face_pos = np.roll(signs, -1, axis=axis)
-        face_neg = ~face_pos
-        for other in range(d):
-            if other == axis:
-                continue
-            face_pos = face_pos & np.roll(face_pos, -1, axis=other)
-            face_neg = face_neg & np.roll(face_neg, -1, axis=other)
-        faces.append(~(face_pos | face_neg))
-    return mixed, faces
-
-
-def _label_zero_set(signs: np.ndarray) -> PeriodicLabeling:
-    """Label mixed cells, gluing across a shared face only when the face
-    itself is sign-mixed (the zero set crosses it); a merely adjacent pair
-    of mixed cells separated by a sign-pure face stays separate.  Periodic
-    seams are merged with lift tracking as in `periodic_label`."""
-    d = signs.ndim
-    shape = signs.shape
-    mixed, faces = _mixed_cells_and_faces(signs)
-    total = int(np.count_nonzero(mixed))
-    if total == 0:
-        return PeriodicLabeling(
-            count=0,
-            labels=np.zeros(shape, dtype=np.int32),
-            cells=np.zeros(0, dtype=np.int64),
-            widths=np.zeros((0, d), dtype=np.int64),
-            wraps=np.zeros(0, dtype=bool),
-        )
-    flat_mixed = mixed.ravel()
-    node_of_flat = np.cumsum(flat_mixed) - 1  # dense node ids for mixed cells
-
-    # in-grid edges per axis (seam column handled in the merge stage)
-    edge_rows: list[np.ndarray] = []
-    edge_cols: list[np.ndarray] = []
-    seam_edges: list[tuple[np.ndarray, np.ndarray]] = []
-    for axis in range(d):
-        glue = mixed & np.roll(mixed, -1, axis=axis) & faces[axis]
-        interior = glue.copy()
-        seam_index = [slice(None)] * d
-        seam_index[axis] = shape[axis] - 1
-        interior[tuple(seam_index)] = False
-        src = np.flatnonzero(interior.ravel())
-        if src.size:
-            stride = int(np.prod(shape[axis + 1 :], dtype=np.int64))
-            edge_rows.append(node_of_flat[src])
-            edge_cols.append(node_of_flat[src + stride])
-        seam = np.zeros_like(glue)
-        seam[tuple(seam_index)] = glue[tuple(seam_index)]
-        src = np.flatnonzero(seam.ravel())
-        if src.size:
-            span = int(np.prod(shape[axis:], dtype=np.int64))
-            stride = int(np.prod(shape[axis + 1 :], dtype=np.int64))
-            seam_edges.append((src, src + stride - span))
-        else:
-            seam_edges.append((np.zeros(0, dtype=np.int64),) * 2)
-
-    if edge_rows:
-        rows = np.concatenate(edge_rows)
-        cols = np.concatenate(edge_cols)
-        graph = coo_matrix(
-            (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(total, total)
-        )
-        npatch, patch_of_node = _sparse_components(graph, directed=False)
-    else:
-        npatch, patch_of_node = total, np.arange(total, dtype=np.int64)
-
-    # canonicalize patches by first raster occurrence
-    first = np.full(npatch, np.iinfo(np.int64).max)
-    np.minimum.at(first, patch_of_node, np.flatnonzero(flat_mixed))
-    rank = np.argsort(np.argsort(first, kind="stable"), kind="stable")
-    patch_of_node = rank[patch_of_node]
-
-    labels0 = np.zeros(signs.size, dtype=np.int32)
-    labels0[flat_mixed] = patch_of_node + 1
-    labels0 = labels0.reshape(shape)
-
-    uf = _OffsetUnionFind(npatch + 1, d)
-    for axis in range(d):
-        src, dst = seam_edges[axis]
-        if not src.size:
-            continue
-        rel = np.zeros(d, dtype=np.int64)
-        rel[axis] = shape[axis]
-        flat_labels = labels0.ravel()
-        pairs = np.unique(
-            np.stack([flat_labels[src], flat_labels[dst]], axis=1), axis=0
-        )
-        for hp, lp in pairs:
-            uf.union(int(hp), int(lp), rel)
-
-    coords = np.stack(np.unravel_index(np.flatnonzero(flat_mixed), shape), axis=1)
-    patch_lo = np.full((npatch, d), np.iinfo(np.int64).max)
-    patch_hi = np.full((npatch, d), np.iinfo(np.int64).min)
-    np.minimum.at(patch_lo, patch_of_node, coords)
-    np.maximum.at(patch_hi, patch_of_node, coords)
-    patch_cells = np.bincount(patch_of_node, minlength=npatch)
-
-    count, cells, widths, wraps, table = _group_patches(
-        uf, npatch, d, patch_cells, patch_lo, patch_hi + 1
-    )
-    labels = table[labels0]
-    return PeriodicLabeling(count=count, labels=labels, cells=cells, widths=widths, wraps=wraps)
+        same = (np.take(sg.signs, M - 1, axis) == np.take(sg.signs, 0, axis)).ravel()
+        links.append((
+            np.take(patches, M - 1, axis).ravel()[same] - 1,
+            np.take(patches, 0, axis).ravel()[same] - 1,
+            np.broadcast_to(M * np.eye(d, dtype=np.int64)[axis], (np.count_nonzero(same), d)),
+        ))
+    if d == 2:
+        main, anti = _saddle_cells(sg)
+        for saddles, da, db in ((main, (0, 0), (1, 1)), (anti, (1, 0), (0, 1))):
+            base = np.argwhere(saddles)
+            ua, ub = base + da, base + db
+            links.append((
+                patches[tuple((ua % M).T)] - 1,
+                patches[tuple((ub % M).T)] - 1,
+                M * (ub // M - ua // M),  # seams crossed from ua to ub
+            ))
+    lab = _merge_patches(patches, first, cells, lo, hi, links)
+    volumes = lab.cells.astype(float) / float(M**d)
+    return lab.count, volumes, lab.labels
 
 
-def _group_patches(
-    uf: _OffsetUnionFind,
-    npatch: int,
-    d: int,
-    patch_cells: np.ndarray,
-    patch_lo: np.ndarray,
-    patch_hi: np.ndarray,
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Merge patch data along union-find roots into canonical components.
-
-    patch arrays are 0-based (patch p -> row p-1); returns
-    (count, cells, widths, wraps, table) with table mapping patch id to
-    1-based component id.
-    """
-    groups: dict[int, list[int]] = {}
-    offsets: dict[int, np.ndarray] = {}
-    for p in range(1, npatch + 1):
-        root, off = uf.find(p)
-        groups.setdefault(root, []).append(p)
-        offsets[p] = off
-    roots = sorted(groups, key=lambda r: min(groups[r]))
-    count = len(roots)
-    cells = np.zeros(count, dtype=np.int64)
-    widths = np.zeros((count, d), dtype=np.int64)
-    wraps = np.zeros(count, dtype=bool)
-    table = np.zeros(npatch + 1, dtype=np.int32)
-    for ci, root in enumerate(roots):
-        members = groups[root]
-        idx = np.array(members) - 1
-        off = np.stack([offsets[p] for p in members])
-        cells[ci] = int(patch_cells[idx].sum())
-        lo = np.min(patch_lo[idx] + off, axis=0)
-        hi = np.max(patch_hi[idx] + off, axis=0)
-        widths[ci] = hi - lo
-        wraps[ci] = root in uf.wrapped
-        table[idx + 1] = ci + 1
-    return count, cells, widths, wraps, table
-
-
-def _label_zero_set_2d(sg: SignGrid) -> PeriodicLabeling:
-    """Marching-squares segment topology of the discrete zero set (d=2).
-
-    Every mixed cell carries one zero-curve segment, except checkerboard
-    cells, which carry two; the center sign decides which pairs of crossed
-    faces the two segments join.  Segments connect across a shared face
-    exactly when the face is crossed.  This separates zero curves that
-    pass within one cell of each other without touching.
-    """
-    signs = sg.signs
-    M0, M1 = signs.shape
-    s00 = signs
-    s10 = np.roll(signs, -1, 0)
-    s01 = np.roll(signs, -1, 1)
-    s11 = np.roll(s10, -1, 1)
-    mixed = ~((s00 & s10 & s01 & s11) | ~(s00 | s10 | s01 | s11))
-    if not np.any(mixed):
-        return PeriodicLabeling(
-            count=0,
-            labels=np.zeros(signs.shape, dtype=np.int32),
-            cells=np.zeros(0, dtype=np.int64),
-            widths=np.zeros((0, 2), dtype=np.int64),
-            wraps=np.zeros(0, dtype=bool),
-        )
-    amb = (s00 == s11) & (s10 == s01) & (s00 != s10)
-    # crossed faces: E = {v10, v11} (shared with cell + e0), N = {v01, v11}
-    fE = s10 != s11
-    fN = s01 != s11
-    fW = s00 != s01  # E face of the -x neighbor
-    fS = s00 != s10  # N face of the -y neighbor
-
-    # segment index (0/1) incident to each face of a cell; single-segment
-    # cells use 0.  For checkerboard cells, center sign on the main
-    # diagonal isolates corners v10 (faces S, E -> segment 0) and
-    # v01 (faces W, N -> segment 1); otherwise corners v00 (W, S -> 0)
-    # and v11 (E, N -> 1).
-    segE = np.zeros(signs.shape, dtype=np.int8)
-    segN = np.zeros_like(segE)
-    segW = np.zeros_like(segE)
-    segS = np.zeros_like(segE)
-    diag_main = amb & (sg.center_plus == s00)
-    diag_anti = amb & (sg.center_plus != s00)
-    segW[diag_main] = 1
-    segN[diag_main] = 1
-    segE[diag_anti] = 1
-    segN[diag_anti] = 1
-
-    flat_mixed = mixed.ravel()
-    flat_amb = amb.ravel()
-    n_mixed = int(flat_mixed.sum())
-    n_amb = int(flat_amb.sum())
-    node0 = np.cumsum(flat_mixed) - 1
-    node1 = n_mixed + np.cumsum(flat_amb) - 1
-    total = n_mixed + n_amb
-
-    def seg_nodes(cells_flat: np.ndarray, seg: np.ndarray) -> np.ndarray:
-        return np.where(seg == 0, node0[cells_flat], node1[cells_flat])
-
-    idx = np.arange(signs.size).reshape(signs.shape)
-    nb0 = np.roll(idx, -1, 0)
-    nb1 = np.roll(idx, -1, 1)
-
-    rows_list, cols_list = [], []
-    seam_unions: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for axis, (crossed, seg_out, seg_in, nb) in enumerate(
-        ((fE, segE, segW, nb0), (fN, segN, segS, nb1))
-    ):
-        interior = crossed.copy()
-        seam_index = [slice(None), slice(None)]
-        seam_index[axis] = signs.shape[axis] - 1
-        seam = np.zeros_like(crossed)
-        seam[tuple(seam_index)] = crossed[tuple(seam_index)]
-        interior[tuple(seam_index)] = False
-        for part, is_seam in ((interior, False), (seam, True)):
-            src = np.flatnonzero(part.ravel())
-            if not src.size:
-                continue
-            dst = nb.ravel()[src]
-            a = seg_nodes(src, seg_out.ravel()[src])
-            b = seg_nodes(dst, seg_in.ravel()[dst])
-            if is_seam:
-                rel = np.zeros(2, dtype=np.int64)
-                rel[axis] = signs.shape[axis]
-                seam_unions.append((a, b, rel))
-            else:
-                rows_list.append(a)
-                cols_list.append(b)
-
-    if rows_list:
-        rows = np.concatenate(rows_list)
-        cols = np.concatenate(cols_list)
-        graph = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(total, total))
-        npatch, patch_of_node = _sparse_components(graph, directed=False)
-    else:
-        npatch, patch_of_node = total, np.arange(total, dtype=np.int64)
-
-    # canonical patch order by first raster occurrence (segment 0 of a cell
-    # precedes segment 1)
-    order_key = np.empty(total, dtype=np.int64)
-    mixed_flat_idx = np.flatnonzero(flat_mixed)
-    amb_flat_idx = np.flatnonzero(flat_amb)
-    order_key[:n_mixed] = 2 * mixed_flat_idx
-    order_key[n_mixed:] = 2 * amb_flat_idx + 1
-    first = np.full(npatch, np.iinfo(np.int64).max)
-    np.minimum.at(first, patch_of_node, order_key)
-    rank = np.argsort(np.argsort(first, kind="stable"), kind="stable")
-    patch_of_node = rank[patch_of_node]
-
-    node_cells = np.concatenate([mixed_flat_idx, amb_flat_idx])
-    node_coords = np.stack(np.unravel_index(node_cells, signs.shape), axis=1)
-    patch_lo = np.full((npatch, 2), np.iinfo(np.int64).max)
-    patch_hi = np.full((npatch, 2), np.iinfo(np.int64).min)
-    np.minimum.at(patch_lo, patch_of_node, node_coords)
-    np.maximum.at(patch_hi, patch_of_node, node_coords)
-    patch_cells = np.bincount(patch_of_node, minlength=npatch)
-
-    uf = _OffsetUnionFind(npatch + 1, 2)
-    for a, b, rel in seam_unions:
-        pa = patch_of_node[a] + 1
-        pb = patch_of_node[b] + 1
-        pairs = np.unique(np.stack([pa, pb], axis=1), axis=0)
-        for pi, pj in pairs:
-            uf.union(int(pi), int(pj), rel)
-
-    count, cells, widths, wraps, table = _group_patches(
-        uf, npatch, 2, patch_cells, patch_lo, patch_hi + 1
-    )
-    labels0 = np.zeros(signs.size, dtype=np.int32)
-    labels0[flat_mixed] = patch_of_node[node0[flat_mixed]] + 1
-    labels = table[labels0].reshape(signs.shape)
-    return PeriodicLabeling(count=count, labels=labels, cells=cells, widths=widths, wraps=wraps)
+def _mixed(signs: np.ndarray, axes) -> np.ndarray:
+    """True at j when the vertices j + {0,1}^axes (periodic) carry both signs."""
+    pos, neg = signs, ~signs
+    for axis in axes:
+        pos = pos & np.roll(pos, -1, axis=axis)
+        neg = neg & np.roll(neg, -1, axis=axis)
+    return ~(pos | neg)
 
 
 def count_components(
@@ -587,8 +263,63 @@ def count_components(
     bounding-box diagonals in torus units, with wrapping components
     assigned the lower bound 1/2.
     """
-    lab = _label_zero_set_2d(sg) if sg.d == 2 else _label_zero_set(sg.signs)
-    h = 1.0 / sg.M
+    d, M = sg.d, sg.M
+    # cell j spans vertices j + {0,1}^d; a face is crossed when its own
+    # 2^(d-1) vertices carry both signs
+    sites = np.flatnonzero(_mixed(sg.signs, range(d)))
+    # node i < len(sites) is cell sites[i]; in d=2 a checkerboard cell has a
+    # second node, the zero-curve segment that does not touch its S face
+    second = np.zeros(0, dtype=np.int64)
+    out_second = in_second = [None] * d
+    if d == 2:
+        main, anti = _saddle_cells(sg)
+        second = np.flatnonzero(main | anti)
+        # the center sign pairs faces (S,E)+(W,N) on `main`, (W,S)+(E,N) on `anti`
+        out_second, in_second = (anti, main | anti), (main, None)
+
+    node_of = np.zeros(sg.signs.size, dtype=np.int32)
+    node_of[sites] = np.arange(len(sites))
+
+    def node(cell: np.ndarray, uses_second) -> np.ndarray:
+        ids = node_of[cell]
+        if uses_second is not None:
+            sel = uses_second.ravel()[cell]
+            ids[sel] = len(sites) + np.searchsorted(second, cell[sel])
+        return ids
+
+    rows, cols, seam = [], [], []
+    for axis in range(d):
+        others = [a for a in range(d) if a != axis]
+        src = np.flatnonzero(np.roll(_mixed(sg.signs, others), -1, axis=axis))
+        stride = M ** (d - 1 - axis)
+        at_seam = (src // stride) % M == M - 1
+        a = node(src, out_second[axis])
+        b = node(src + stride - M * stride * at_seam, in_second[axis])
+        rows.append(a[~at_seam])
+        cols.append(b[~at_seam])
+        rel = np.broadcast_to(M * np.eye(d, dtype=np.int64)[axis], (np.count_nonzero(at_seam), d))
+        seam.append((a[at_seam], b[at_seam], rel))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    node_cells = np.concatenate([sites, second])
+    total = len(node_cells)
+    graph = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(total, total))
+    npatch, patch_of_node = _sparse_components(graph, directed=False)
+    keys = 2 * node_cells  # a cell's second node follows its first
+    keys[len(sites):] += 1
+    first = np.full(npatch, np.iinfo(np.int64).max)
+    np.minimum.at(first, patch_of_node, keys)
+    lo = np.full((d, npatch), np.iinfo(np.int64).max)
+    hi = np.full((d, npatch), np.iinfo(np.int64).min)
+    for axis, coord in enumerate(np.unravel_index(node_cells, sg.signs.shape)):
+        np.minimum.at(lo[axis], patch_of_node, coord)  # 1-D reductions are the fast ones
+        np.maximum.at(hi[axis], patch_of_node, coord + 1)
+    cells = np.bincount(patch_of_node, minlength=npatch)
+    patch_labels = np.zeros(sg.signs.shape, dtype=np.int32)
+    np.put(patch_labels, sites, patch_of_node[: len(sites)] + 1)
+    links = [(patch_of_node[a], patch_of_node[b], rel) for a, b, rel in seam]
+
+    lab = _merge_patches(patch_labels, first, cells, lo.T, hi.T, links)
+    h = 1.0 / M
     diameters = h * np.sqrt(np.sum(lab.widths.astype(float) ** 2, axis=1))
     diameters[lab.wraps] = 0.5
     return lab.count, lab.cells, diameters, lab.wraps, lab.labels

@@ -7,6 +7,7 @@ from Monte Carlo.  Slow is fine; independent is the point.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 
@@ -165,3 +166,110 @@ def chi_square_tail_bound(dof: int, threshold: float) -> float:
         term *= x / k
         total += term
     return total
+
+
+def _periodic_flood(shape, nodes, steps):
+    """BFS on the periodic grid of `shape`, tracking lifts to Z^d.
+
+    `nodes` lists native index tuples in raster order; `steps(node)` lists
+    the unit moves (axis, +-1) along which `node` is linked.  Returns
+    (labels, wraps, widths): labels are 1-based in order of first raster
+    occurrence (0 = not a node), a component wraps when two paths give one
+    node different lifts, and widths are lifted bounding-box extents.
+    """
+    labels = np.zeros(shape, dtype=np.int64)
+    lift: dict[tuple, tuple] = {}
+    wraps: list[bool] = []
+    widths: list[list[int]] = []
+    for start in nodes:
+        if labels[start]:
+            continue
+        comp = len(wraps) + 1
+        labels[start] = comp
+        lift[start] = start
+        lo, hi = list(start), list(start)
+        wrapped = False
+        queue = deque([start])
+        while queue:
+            node = queue.popleft()
+            for axis, step in steps(node):
+                lifted = list(lift[node])
+                lifted[axis] += step
+                nb = tuple(c % m for c, m in zip(lifted, shape))
+                if labels[nb] == 0:
+                    labels[nb] = comp
+                    lift[nb] = tuple(lifted)
+                    lo = [min(a, b) for a, b in zip(lo, lifted)]
+                    hi = [max(a, b) for a, b in zip(hi, lifted)]
+                    queue.append(nb)
+                elif lift[nb] != tuple(lifted):
+                    wrapped = True
+        wraps.append(wrapped)
+        widths.append([b - a + 1 for a, b in zip(lo, hi)])
+    return labels, np.array(wraps, dtype=bool), np.array(widths, dtype=np.int64).reshape(-1, len(shape))
+
+
+def flood_fill_domains_nd(signs: np.ndarray):
+    """Same-sign vertex regions under periodic face adjacency, any d
+    (no saddle links, as in d >= 3).  Returns `_periodic_flood`'s triple."""
+    shape = signs.shape
+    d = len(shape)
+
+    def steps(node):
+        out = []
+        for axis in range(d):
+            for step in (1, -1):
+                nb = list(node)
+                nb[axis] = (nb[axis] + step) % shape[axis]
+                if signs[tuple(nb)] == signs[node]:
+                    out.append((axis, step))
+        return out
+
+    nodes = [tuple(int(c) for c in idx) for idx in np.ndindex(shape)]
+    return _periodic_flood(shape, nodes, steps)
+
+
+def _signs_at(signs: np.ndarray, base, axes) -> set[bool]:
+    """Signs of the vertices base + {0,1}^axes (periodic)."""
+    shape = signs.shape
+    seen = set()
+    for bits in itertools.product((0, 1), repeat=len(axes)):
+        v = list(base)
+        for axis, bit in zip(axes, bits):
+            v[axis] += bit
+        seen.add(bool(signs[tuple(c % m for c, m in zip(v, shape))]))
+    return seen
+
+
+def flood_fill_components_nd(signs: np.ndarray):
+    """Zero-set components for d >= 3: mixed cells (corners of both signs),
+    glued across a shared face exactly when the face's own vertices carry
+    both signs.  Cell j spans vertices j + {0,1}^d.  Returns
+    `_periodic_flood`'s triple over cells."""
+    shape = signs.shape
+    d = len(shape)
+    every = tuple(range(d))
+
+    def crossed(cell, axis):
+        # face between `cell` and `cell + e_axis`
+        base = list(cell)
+        base[axis] += 1
+        return len(_signs_at(signs, base, [a for a in every if a != axis])) == 2
+
+    def steps(cell):
+        out = []
+        for axis in range(d):
+            if crossed(cell, axis):
+                out.append((axis, 1))
+            below = list(cell)
+            below[axis] = (below[axis] - 1) % shape[axis]
+            if crossed(tuple(below), axis):
+                out.append((axis, -1))
+        return out
+
+    nodes = [
+        tuple(int(c) for c in idx)
+        for idx in np.ndindex(shape)
+        if len(_signs_at(signs, idx, every)) == 2
+    ]
+    return _periodic_flood(shape, nodes, steps)

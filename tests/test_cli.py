@@ -1,4 +1,5 @@
 import json
+import struct
 
 import pytest
 
@@ -42,6 +43,13 @@ def test_lattice_command_empty_shell(capsys):
     assert payload["orthogonality"] is None
 
 
+def test_lattice_command_rejects_bad_arguments(capsys):
+    assert run_cli("lattice", "--dim", "0", "--n", "5") == 2
+    assert "d must be >= 1" in capsys.readouterr().err
+    assert run_cli("lattice", "--dim", "2", "--n", "-1") == 2
+    assert "n must be nonnegative" in capsys.readouterr().err
+
+
 def test_sample_and_count_roundtrip(tmp_path, capsys):
     out = tmp_path / "field.bin"
     assert run_cli(
@@ -67,6 +75,27 @@ def test_count_rejects_tampered_grid(tmp_path, capsys):
     blob[60] ^= 0xFF  # flip a bit inside the data section
     out.write_bytes(bytes(blob))
     assert run_cli("count", "--in", str(out)) == 2
+
+
+def test_count_rejects_non_finite_values(tmp_path, capsys):
+    out = tmp_path / "field.bin"
+    run_cli("sample", "--dim", "2", "--n", "25", "--seed", "5", "--trial", "0",
+            "--grid", "16", "--out", str(out))
+    blob = bytearray(out.read_bytes())
+    for bad in (float("nan"), float("inf")):
+        blob[gridio._HEADER.size:gridio._HEADER.size + 8] = struct.pack("<d", bad)
+        out.write_bytes(bytes(blob))
+        assert run_cli("count", "--in", str(out)) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+
+def test_count_rejects_empty_grid_header(tmp_path, capsys):
+    out = tmp_path / "field.bin"
+    for d, M in ((0, 16), (2, 0)):
+        header = gridio._HEADER.pack(gridio.MAGIC, gridio.VERSION, d, 25, M, 5, 0)
+        out.write_bytes(header + b"\0" * (8 * M**d))
+        assert run_cli("count", "--in", str(out)) == 2
+        assert "d >= 1 and M >= 1" in capsys.readouterr().err
 
 
 def test_count_with_gradient_files(tmp_path):

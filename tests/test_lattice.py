@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,3 +187,15 @@ def test_ball_moment_sweep_matches_per_shell():
         assert counts[n] == shell.dim_HL
         if not shell.is_empty:
             assert np.array_equal(sums[n], lattice.orthogonality_sums(shell))
+
+
+def test_rep_table_grows_geometrically(monkeypatch):
+    # a loop over rising n must not rebuild the r_2 table once per n
+    monkeypatch.setattr(lattice, "_REP_TABLE_CACHE", {})
+    builds, last = 0, None
+    for n in range(1, 4001):
+        assert lattice.representation_count(4, n) == lattice.jacobi_four_square_count(n)
+        table = lattice._REP_TABLE_CACHE[2]
+        if table is not last:
+            builds, last = builds + 1, table
+    assert builds <= 2 + math.log2(4000)

@@ -6,7 +6,12 @@ import pytest
 from arw import field, lattice, nodal
 from arw.errors import PerturbationTooLarge, Uncertified
 
-from oracles import flood_fill_components, flood_fill_domains
+from oracles import (
+    flood_fill_components,
+    flood_fill_components_nd,
+    flood_fill_domains,
+    flood_fill_domains_nd,
+)
 
 
 def make_sample(d, n, seed, trial=0):
@@ -117,6 +122,47 @@ def test_flood_fill_oracle_small_grids():
             k, *_ = nodal.count_components(sg)
             assert r == flood_fill_domains(sg.signs, sg.center_plus)
             assert k == flood_fill_components(sg.signs, sg.center_plus)
+
+
+def assert_matches_nd_oracles(sg):
+    r, volumes, labels = nodal.count_domains(sg)
+    dom_labels, _, _ = flood_fill_domains_nd(sg.signs)
+    assert r == dom_labels.max()
+    assert np.array_equal(labels, dom_labels)
+    k, cells, diams, wraps, comp_labels = nodal.count_components(sg)
+    oracle_labels, oracle_wraps, oracle_widths = flood_fill_components_nd(sg.signs)
+    assert k == len(oracle_wraps)
+    assert np.array_equal(comp_labels, oracle_labels)
+    assert np.array_equal(cells, np.bincount(oracle_labels.ravel(), minlength=k + 1)[1:])
+    assert np.array_equal(wraps, oracle_wraps)
+    lifted = np.sqrt(np.sum(oracle_widths.astype(float) ** 2, axis=1)) / sg.M
+    assert diams == pytest.approx(np.where(oracle_wraps, 0.5, lifted), rel=1e-12)
+    return r, k
+
+
+def test_flood_fill_oracle_d3_grids():
+    for i in range(20):
+        n, M = (9, 17)[i % 2], 16 + 2 * (i % 5)
+        sample = make_sample(3, n, 77, trial=i)
+        assert_matches_nd_oracles(nodal.sign_grid(field.eval_grid(sample, M)))
+
+
+def test_d3_blob_across_seam_and_wrapping_slab():
+    M = 12
+    signs = np.ones((M, M, M), dtype=bool)
+    signs[[M - 1, 0], 5:7, 5:7] = False  # straddles the x-seam
+    sg = nodal.sign_grid(field.FieldGrid(d=3, n=1, M=M, values=np.where(signs, 1.0, -1.0)))
+    assert assert_matches_nd_oracles(sg) == (2, 1)
+    _, cells, diams, wraps, _ = nodal.count_components(sg)
+    assert not wraps[0] and cells[0] == 26  # 3^3 cells around the blob, less its all-minus core
+    assert diams[0] == pytest.approx(math.sqrt(27) / M)
+
+    signs = np.zeros((M, M, M), dtype=bool)
+    signs[4:8] = True  # slab: two zero sheets, each wrapping in y and z
+    sg = nodal.sign_grid(field.FieldGrid(d=3, n=1, M=M, values=np.where(signs, 1.0, -1.0)))
+    assert assert_matches_nd_oracles(sg) == (2, 2)
+    _, _, diams, wraps, _ = nodal.count_components(sg)
+    assert wraps.all() and np.all(diams == 0.5)
 
 
 def test_local_components_bounded_by_local_domains():
@@ -251,12 +297,24 @@ def test_sign_flip_symmetry():
     assert np.allclose(np.sort(a.domain_volumes), np.sort(b.domain_volumes), atol=0)
 
 
+def assert_raster_ordered(labels, count):
+    """Labels 1..count first occur in increasing raster order."""
+    ids, first = np.unique(labels.ravel(), return_index=True)
+    first = first[ids > 0]
+    assert np.array_equal(ids[ids > 0], np.arange(1, count + 1))
+    assert np.all(np.diff(first) > 0)
+
+
 def test_label_determinism():
-    sample = make_sample(2, 65, 3)
-    sg = nodal.sign_grid(field.eval_grid(sample, 144))
-    r1, v1, l1 = nodal.count_domains(sg)
-    r2, v2, l2 = nodal.count_domains(sg)
-    assert r1 == r2 and np.array_equal(l1, l2) and np.array_equal(v1, v2)
+    for d, n, M in ((2, 65, 144), (3, 17, 40)):
+        sg = nodal.sign_grid(field.eval_grid(make_sample(d, n, 3), M))
+        r1, v1, l1 = nodal.count_domains(sg)
+        r2, v2, l2 = nodal.count_domains(sg)
+        assert r1 == r2 and np.array_equal(l1, l2) and np.array_equal(v1, v2)
+        assert_raster_ordered(l1, r1)
+        assert np.array_equal(v1, np.bincount(l1.ravel(), minlength=r1 + 1)[1:] / M**d)
+        k, *_, comp_labels = nodal.count_components(sg)
+        assert_raster_ordered(comp_labels, k)
 
 
 def test_bessel_zeros():
