@@ -163,9 +163,20 @@ def run_config(path: str, overrides=None) -> int:
     config = load_config(path)
     if overrides is not None:
         config = _apply_overrides(config, overrides)
+    saved = os.environ.get("ARW_MEMORY_BUDGET_MB")
     if config.memory_budget_mb > 0:
+        # worker processes inherit the budget through the environment
         os.environ["ARW_MEMORY_BUDGET_MB"] = str(config.memory_budget_mb)
+    try:
+        return _run_experiment(config)
+    finally:
+        if saved is None:
+            os.environ.pop("ARW_MEMORY_BUDGET_MB", None)
+        else:
+            os.environ["ARW_MEMORY_BUDGET_MB"] = saved
 
+
+def _run_experiment(config: ExperimentConfig) -> int:
     if config.policy == "explicit":
         ns = sorted(config.n_values)
     else:

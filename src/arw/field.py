@@ -7,8 +7,11 @@ over the half shell, defining
            (a * cos(2*pi*lambda.x) + b * sin(2*pi*lambda.x)),
 
 with N the shell size.  Evaluation is available both on regular periodic
-grids (inverse FFT after placing complex amplitudes at the shell's
-frequencies) and pointwise (direct summation), and the two must agree.
+grids and pointwise (direct summation), and the two must agree.  Grids
+are built by pruned real synthesis (Markel 1971): the field has at most
+2*sqrt(n) + 1 distinct frequencies per axis, so the leading axes are
+expanded by small DFT matrices over those frequencies and only the last
+axis runs a real inverse FFT; no full M^d complex spectrum is formed.
 
 Complex amplitude convention (single source of truth): the value placed at
 frequency +lambda is (a - i*b)/2 * sqrt(2/N), and its conjugate sits at
@@ -23,6 +26,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft as sfft
 
 from . import rng
 from .errors import (
@@ -30,18 +34,30 @@ from .errors import (
     DegenerateIntegral,
     MemoryBudgetExceeded,
     QuadratureNonConvergence,
+    ValidationError,
 )
 from .lattice import LatticeShell, orthogonality_sums
 
 DEFAULT_MEMORY_BUDGET_MB = 512
+# What one M^d grid costs against the budget: the tracemalloc peak of a
+# whole `nodal.analyze` per cell of its finest grid, which is 39 B at d=2
+# (n=1105) and d=3 (n=17), and 43 B on a 96^2 grid where fixed costs show,
+# rounded up.
+ANALYZE_BYTES_PER_CELL = 48
 
 
 def memory_budget_bytes() -> int:
+    """The grid memory budget: ARW_MEMORY_BUDGET_MB (a positive integer
+    number of MiB) if set, else 512 MiB."""
     mb = os.environ.get("ARW_MEMORY_BUDGET_MB", "")
+    if not mb:
+        return DEFAULT_MEMORY_BUDGET_MB * 2**20
     try:
-        value = int(mb) if mb else DEFAULT_MEMORY_BUDGET_MB
+        value = int(mb)
     except ValueError:
-        value = DEFAULT_MEMORY_BUDGET_MB
+        value = 0
+    if value <= 0:
+        raise ValidationError(f"ARW_MEMORY_BUDGET_MB must be a positive integer, got {mb!r}")
     return value * 2**20
 
 
@@ -126,7 +142,7 @@ def sample_from_arrays(
     a = np.asarray(a, dtype=float).copy()
     b = np.asarray(b, dtype=float).copy()
     if a.shape != (shell.half_points.shape[0],) or b.shape != a.shape:
-        raise ValueError("coefficient arrays must match the half shell")
+        raise ValidationError("coefficient arrays must match the half shell")
     a.setflags(write=False)
     b.setflags(write=False)
     return WaveSample(shell=shell, a=a, b=b, seed=seed, trial_index=trial_index)
@@ -150,14 +166,14 @@ def pure_mode(shell: LatticeShell, lam: tuple[int, ...], kind: str = "cos") -> W
     elif neg in half:
         k, sign = half.index(neg), -1.0
     else:
-        raise ValueError(f"{lam} is not in the shell")
+        raise ValidationError(f"{lam} is not in the shell")
     scale = math.sqrt(shell.dim_HL / 2.0)
     if kind == "cos":
         a[k] = scale  # cos is even: sign flip is immaterial
     elif kind == "sin":
         b[k] = sign * scale
     else:
-        raise ValueError("kind must be 'cos' or 'sin'")
+        raise ValidationError("kind must be 'cos' or 'sin'")
     return sample_from_arrays(shell, a, b)
 
 
@@ -167,30 +183,51 @@ def _amplitudes(sample: WaveSample, derivative: tuple[int, ...]) -> np.ndarray:
     lam = sample.shell.half_points
     for axis in derivative:
         if not 0 <= axis < sample.shell.d:
-            raise ValueError(f"derivative axis {axis} out of range")
+            raise ValidationError(f"derivative axis {axis} out of range")
         amp = amp * (2j * np.pi * lam[:, axis])
     return amp
 
 
 def eval_grid(sample: WaveSample, M: int, derivative: tuple[int, ...] = ()) -> FieldGrid:
-    """Evaluate on the M^d periodic grid via an inverse discrete Fourier
-    transform.  Requires M alias-free (M >= 2*floor(sqrt(n)) + 1)."""
+    """Evaluate on the M^d periodic grid by pruned real synthesis.
+
+    Each +-lambda pair is folded onto its member with lambda_d >= 0.  The
+    leading axes are expanded one at a time by an M x k DFT matrix over
+    that axis's k distinct frequencies (k <= 2*sqrt(n) + 1), and one real
+    inverse FFT of length M along the last axis finishes the grid.
+    Requires M alias-free (M >= 2*floor(sqrt(n)) + 1), which also keeps
+    every folded lambda_d below the Nyquist bin M/2.
+    """
     shell = sample.shell
+    d = shell.d
     if M < min_alias_free_M(shell.n):
         raise AliasError(f"M={M} < {min_alias_free_M(shell.n)} required for n={shell.n}")
-    cells = M**shell.d
-    if cells * 24 > memory_budget_bytes():
-        raise MemoryBudgetExceeded(f"grid {M}^{shell.d} exceeds the memory budget")
+    cells = M**d
+    if cells * ANALYZE_BYTES_PER_CELL > memory_budget_bytes():
+        raise MemoryBudgetExceeded(f"grid {M}^{d} exceeds the memory budget")
     amp = _amplitudes(sample, derivative)
-    spectrum = np.zeros((M,) * shell.d, dtype=np.complex128)
-    idx_pos = tuple(np.mod(sample.shell.half_points[:, i], M) for i in range(shell.d))
-    idx_neg = tuple(np.mod(-sample.shell.half_points[:, i], M) for i in range(shell.d))
-    np.add.at(spectrum, idx_pos, amp)
-    np.add.at(spectrum, idx_neg, np.conj(amp))
-    values = np.fft.ifftn(spectrum).real * float(cells)
+    lam = shell.half_points
+    flip = lam[:, -1] < 0
+    lam = np.where(flip[:, None], -lam, lam)
+    amp = np.where(flip, np.conj(amp), amp)
+    # the real FFT keeps only the real part of the last axis's zero bin, so
+    # a pair on the lambda_d = 0 plane enters once, doubled
+    amp = np.where(lam[:, -1] == 0, 2.0 * amp, amp)
+    index, dfts = [], []
+    for axis in range(d - 1):
+        freqs, inverse = np.unique(lam[:, axis], return_inverse=True)
+        index.append(inverse)
+        phase = np.mod(np.outer(np.arange(M), freqs), M)  # exact integer phases
+        dfts.append(np.exp((2j * np.pi / M) * phase))
+    shape = [dft.shape[1] for dft in dfts] + [int(lam[:, -1].max()) + 1]
+    spectrum = np.zeros(shape, dtype=np.complex128)
+    spectrum[tuple(index) + (lam[:, -1],)] = amp
+    for axis, dft in enumerate(dfts):
+        spectrum = np.moveaxis(np.tensordot(dft, spectrum, axes=(1, axis)), 0, axis)
+    values = sfft.irfft(spectrum, n=M, axis=-1, norm="forward")
     values.setflags(write=False)
     return FieldGrid(
-        d=shell.d,
+        d=d,
         n=shell.n,
         M=M,
         values=values,
@@ -292,7 +329,7 @@ def limiting_kernel(d: int, x) -> float:
     evaluated by the midpoint refinement schedule at tolerance 1e-8.
     """
     if d < 2:
-        raise ValueError("d must be >= 2")
+        raise ValidationError("d must be >= 2")
     r = float(np.linalg.norm(np.asarray(x, dtype=float)))
     if r == 0.0:
         return 1.0
@@ -313,7 +350,7 @@ def parseval_norm(sample: WaveSample, grid: FieldGrid) -> tuple[float, float]:
     """(coefficient L2 norm, grid L2 norm); equal to 1e-9 relative when the
     grid is alias-free."""
     if grid.derivative_tag != ():
-        raise ValueError("parseval_norm expects a value grid")
+        raise ValidationError("parseval_norm expects a value grid")
     if grid.M < min_alias_free_M(sample.shell.n):
         raise AliasError("grid is not alias-free for this shell")
     coef = sample.coef_norm()
@@ -330,7 +367,7 @@ def local_bound_ratio(
     by L^(d+4).  The integral uses a midpoint grid of >= 32 points per
     axis over the bounding cube, masked to the ball."""
     if r <= 0:
-        raise ValueError("r must be positive")
+        raise ValidationError("r must be positive")
     m = max(32, points_per_axis)
     shell = sample.shell
     d = shell.d

@@ -20,7 +20,7 @@ which is the operational stand-in for continuum counting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import ndimage, special
@@ -342,11 +342,10 @@ class Margins:
 
 
 def gradient_norm_grid(sample: WaveSample, M: int) -> np.ndarray:
-    total = None
+    total = np.zeros((M,) * sample.shell.d)
     for axis in range(sample.shell.d):
-        g = eval_grid(sample, M, (axis,)).values
-        total = g * g if total is None else total + g * g
-    return np.sqrt(total)
+        total += np.square(eval_grid(sample, M, (axis,)).values)
+    return np.sqrt(total, out=total)
 
 
 def stability_margins(
@@ -369,7 +368,7 @@ def stability_margins(
     shell = sample.shell
     L = shell.L
     scaled_grad = grid_gradnorm / (2.0 * np.pi * L)
-    mu = float(np.min(np.maximum(np.abs(grid_value.values), scaled_grad)))
+    mu = float(np.min(np.maximum(np.abs(grid_value.values), scaled_grad, out=scaled_grad)))
     rho_c = sample.coeff_l1_bound()
     b1 = 2.0 * np.pi * L * rho_c
     b2 = (2.0 * np.pi * L) ** 2 * rho_c
@@ -407,19 +406,15 @@ class _Bundle:
     diameters: np.ndarray
     wraps: np.ndarray
     comp_labels: np.ndarray
-    margins: Margins
     zero_hits: int
 
 
-def _evaluate(sample: WaveSample, M: int, guard: float) -> _Bundle:
-    value = eval_grid(sample, M)
-    gradnorm = gradient_norm_grid(sample, M)
+def _count(value: FieldGrid) -> _Bundle:
     sg = sign_grid(value)
     r, volumes, _ = count_domains(sg)
     k, comp_cells, diameters, wraps, comp_labels = count_components(sg)
-    margins = stability_margins(sample, value, gradnorm, guard=guard)
     return _Bundle(
-        M=M,
+        M=value.M,
         k=k,
         r=r,
         volumes=volumes,
@@ -427,9 +422,15 @@ def _evaluate(sample: WaveSample, M: int, guard: float) -> _Bundle:
         diameters=diameters,
         wraps=wraps,
         comp_labels=comp_labels,
-        margins=margins,
         zero_hits=sg.zero_hits,
     )
+
+
+def _coarsen(fine: FieldGrid) -> FieldGrid:
+    """The grid at M = fine.M / 2: the fine grid's even-index vertices."""
+    values = np.ascontiguousarray(fine.values[(slice(None, None, 2),) * fine.d])
+    values.setflags(write=False)
+    return replace(fine, M=fine.M // 2, values=values)
 
 
 def _mu_floor(sample: WaveSample) -> float:
@@ -456,8 +457,11 @@ def analyze(
 
     With `auto_refine`, the grid is doubled until (k, r) are unchanged for
     two consecutive refinements (or the memory budget is hit).  Otherwise a
-    single doubling cross-check runs when `refine_check` is set.  The
-    summary reports the finest grid computed.
+    single doubling cross-check runs when `refine_check` is set: only the
+    2M grid is synthesized and the M counts come from its even-index
+    vertices; if the budget refuses 2M, M alone is analyzed.  The summary
+    reports the finest grid computed, and the gradient grids and margins
+    are computed for that grid only.
 
     Certification is heuristic, not a proof.  A summary is certified when
     either the conservative analytic margin certificate fires, or all of:
@@ -487,33 +491,42 @@ def _analyze_core(
     guard: float = 0.5,
     drift_tolerance: float = 0.02,
 ) -> tuple[NodalSummary, _Bundle]:
-    bundle = _evaluate(sample, M, guard)
     levels = 0
     stabilized = False
     if auto_refine:
+        value = eval_grid(sample, M)
+        bundle = _count(value)
         history = [(bundle.k, bundle.r)]
         while True:
             try:
-                nxt = _evaluate(sample, bundle.M * 2, guard)
+                nxt = eval_grid(sample, bundle.M * 2)
             except MemoryBudgetExceeded:
                 break
-            bundle = nxt
+            value, bundle = nxt, _count(nxt)
             levels += 1
             history.append((bundle.k, bundle.r))
             if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
                 stabilized = True
                 break
     elif refine_check:
+        # one synthesis at 2M serves both levels: the M grid is its even slice
         try:
-            nxt = _evaluate(sample, bundle.M * 2, guard)
-            stabilized = _drift_ok(bundle, nxt, drift_tolerance)
-            bundle = nxt
-            levels = 1
+            value = eval_grid(sample, 2 * M)
         except MemoryBudgetExceeded:
-            stabilized = False
+            value = eval_grid(sample, M)
+            bundle = _count(value)
+        else:
+            coarse = _count(_coarsen(value))
+            bundle = _count(value)
+            stabilized = _drift_ok(coarse, bundle, drift_tolerance)
+            levels = 1
+    else:
+        value = eval_grid(sample, M)
+        bundle = _count(value)
+    # gradients and margins only for the level the summary reports
+    margins = stability_margins(sample, value, gradient_norm_grid(sample, value.M), guard=guard)
 
     d = sample.shell.d
-    margins = bundle.margins
     gate = bundle.r - 1 <= bundle.k <= bundle.r + d - 1
     certified = gate and (
         margins.certified or (stabilized and margins.mu > _mu_floor(sample))
@@ -622,8 +635,8 @@ def perturb_and_compare(
     if pert_bundle.M != base_bundle.M:
         # memory budget intervened asymmetrically; match at the coarser grid
         coarse = min(pert_bundle.M, base_bundle.M)
-        base_bundle = _evaluate(sample, coarse, guard)
-        pert_bundle = _evaluate(perturbed, coarse, guard)
+        base_bundle = _count(eval_grid(sample, coarse))
+        pert_bundle = _count(eval_grid(perturbed, coarse))
 
     lab_b = base_bundle.comp_labels.ravel()
     lab_a = pert_bundle.comp_labels.ravel()

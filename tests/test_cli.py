@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 
 import pytest
@@ -182,6 +183,32 @@ def test_experiment_rerun_identical_csv(tmp_path):
     run_cli("experiment", "--config", str(config))
     rows_b = [line.rsplit(",", 1)[0] for line in csv_path.read_text().splitlines()]
     assert rows_a == rows_b
+
+
+@pytest.mark.parametrize("before", [None, "300"])
+def test_run_config_restores_memory_budget_env(tmp_path, monkeypatch, before):
+    if before is None:
+        monkeypatch.delenv("ARW_MEMORY_BUDGET_MB", raising=False)
+    else:
+        monkeypatch.setenv("ARW_MEMORY_BUDGET_MB", before)
+    config = tmp_path / "run.ini"
+    text = MINIMAL_CONFIG.format(csv=tmp_path / "trials.csv", report=tmp_path / "report.json")
+    config.write_text(text.replace("master_seed = 11", "master_seed = 11\nmemory_budget_mb = 64"))
+    assert cli.run_config(str(config)) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["config"]["memory_budget_mb"] == 64
+    assert os.environ.get("ARW_MEMORY_BUDGET_MB") == before
+
+
+def test_malformed_memory_budget_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("ARW_MEMORY_BUDGET_MB", "abc")
+    out = tmp_path / "field.bin"
+    assert run_cli(
+        "sample", "--dim", "2", "--n", "25", "--seed", "5", "--grid", "16", "--out", str(out)
+    ) == 2
+    assert "ARW_MEMORY_BUDGET_MB" in capsys.readouterr().err
+    config = tmp_path / "run.ini"
+    config.write_text(MINIMAL_CONFIG.format(csv=tmp_path / "t.csv", report=tmp_path / "r.json"))
+    assert run_cli("experiment", "--config", str(config)) == 2
 
 
 def test_experiment_unknown_key_exit_code(tmp_path, capsys):

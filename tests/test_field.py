@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from arw import field, gridio, lattice
-from arw.errors import AliasError, DegenerateIntegral, MemoryBudgetExceeded
+from arw.errors import AliasError, DegenerateIntegral, MemoryBudgetExceeded, ValidationError
 
 from oracles import chi_square_tail_bound, mc_sphere_cosine_average
 
@@ -73,6 +73,55 @@ def test_eval_grid_memory_budget(shell_2_25, monkeypatch):
     monkeypatch.setenv("ARW_MEMORY_BUDGET_MB", "1")
     with pytest.raises(MemoryBudgetExceeded):
         field.eval_grid(field.sample_coefficients(shell_2_25, 1, 0), 512)
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
+def test_memory_budget_rejects_malformed_env(shell_2_25, monkeypatch, value):
+    monkeypatch.setenv("ARW_MEMORY_BUDGET_MB", value)
+    with pytest.raises(ValidationError, match="ARW_MEMORY_BUDGET_MB"):
+        field.memory_budget_bytes()
+    with pytest.raises(ValidationError):
+        field.eval_grid(field.sample_coefficients(shell_2_25, 1, 0), 16)
+
+
+def test_eval_grid_matches_points_every_derivative():
+    # every vertex, at the alias floor (odd M) and one above it (even M)
+    for d, n in ((2, 25), (3, 9), (4, 6)):
+        sample = field.sample_coefficients(lattice.enumerate_shell(d, n), 29, d)
+        tags = [()] + [(i,) for i in range(d)] + [(i, j) for i in range(d) for j in range(i, d)]
+        for M in (field.min_alias_free_M(n), field.min_alias_free_M(n) + 1):
+            points = np.stack(np.meshgrid(*[np.arange(M)] * d, indexing="ij"), axis=-1) / M
+            for tag in tags:
+                grid = field.eval_grid(sample, M, tag).values
+                direct = field.eval_points(sample, points, tag)
+                scale = max(1.0, float(np.max(np.abs(direct))))
+                assert np.max(np.abs(grid - direct)) <= 1e-9 * scale, (d, M, tag)
+
+
+def test_eval_grid_even_slice_of_doubled_grid():
+    for d, n, M in ((2, 1105, 67), (2, 65, 144), (3, 17, 20)):
+        sample = field.sample_coefficients(lattice.enumerate_shell(d, n), 37, 0)
+        for tag in ((), (0,)):
+            fine = field.eval_grid(sample, 2 * M, tag).values[(slice(None, None, 2),) * d]
+            coarse = field.eval_grid(sample, M, tag).values
+            scale = max(1.0, float(np.max(np.abs(coarse))))
+            assert np.max(np.abs(fine - coarse)) <= 1e-12 * scale
+
+
+def test_bad_arguments_raise_validation_error(shell_2_25):
+    sample = field.sample_coefficients(shell_2_25, 1, 0)
+    calls = [
+        lambda: field.sample_from_arrays(shell_2_25, np.zeros(5), np.zeros(5)),
+        lambda: field.pure_mode(shell_2_25, (1, 1)),
+        lambda: field.pure_mode(shell_2_25, (3, 4), "tan"),
+        lambda: field.eval_grid(sample, 16, (2,)),
+        lambda: field.limiting_kernel(1, [0.5]),
+        lambda: field.parseval_norm(sample, field.eval_grid(sample, 16, (0,))),
+        lambda: field.local_bound_ratio(sample, [0.0, 0.0], 0.0),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError):
+            call()
 
 
 def test_eval_point_at_zero(shell_2_25):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,6 +253,45 @@ def test_analyze_deterministic_field():
     assert (summary.k, summary.r) == (8, 8)
     assert summary.certified
     assert summary.domain_volumes.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_analyze_budget_admits_M_not_2M(monkeypatch):
+    sample = make_sample(2, 25, 13)
+    M = 128
+    fine = nodal.analyze(sample, M)
+    assert (fine.M, fine.refinement_levels) == (2 * M, 1)
+    fine_margins = nodal.stability_margins(
+        sample, field.eval_grid(sample, 2 * M), nodal.gradient_norm_grid(sample, 2 * M)
+    )
+    assert (fine.alpha, fine.mu) == (fine_margins.alpha, fine_margins.mu)
+
+    # 1 MiB admits 128^2 cells and refuses 256^2
+    monkeypatch.setenv("ARW_MEMORY_BUDGET_MB", "1")
+    summary = nodal.analyze(sample, M)
+    assert (summary.M, summary.refinement_levels) == (M, 0)
+    margins = nodal.stability_margins(
+        sample, field.eval_grid(sample, M), nodal.gradient_norm_grid(sample, M)
+    )
+    assert (summary.alpha, summary.beta, summary.mu) == (margins.alpha, margins.beta, margins.mu)
+    single = nodal.analyze(sample, M, refine_check=False)
+    assert (summary.k, summary.r, summary.certified) == (single.k, single.r, single.certified)
+
+
+@pytest.mark.parametrize("d, n, M", [(2, 1105, 544), (3, 17, 80)])
+def test_memory_charge_covers_analyze_peak(monkeypatch, d, n, M):
+    monkeypatch.delenv("ARW_MEMORY_BUDGET_MB", raising=False)
+    sample = make_sample(d, n, 5)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        summary = nodal.analyze(sample, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the default budget admits the refinement grid (160^3 cells at d=3) ...
+    assert summary.M == 2 * M
+    # ... and the per-cell charge covers what analyze really holds at its peak
+    assert peak <= field.ANALYZE_BYTES_PER_CELL * summary.M**d
 
 
 def test_analyze_gate_random():
