@@ -398,6 +398,17 @@ def example_trig_poly(d: int, D: int, A: Coeff) -> TrigPoly:
     return TrigPoly.build(d, raw)
 
 
+def jacobian_example_holds(d: int, D: int) -> bool:
+    """Whether the gradient-system Jacobian of example_trig_poly(d, D, d + 1)
+    is exactly (2 pi)^d * (2 D^2)^d * prod_j S_D(c_j, s_j)."""
+    jac, power = gradient_system_jacobian(example_trig_poly(d, D, d + 1))
+    _, S = chebyshev_pair(D)
+    expected = AlgPoly.constant(2 * d, 2 * D**2) ** d
+    for j in range(d):
+        expected = expected * S.embed(2 * d, [2 * j, 2 * j + 1])
+    return jac == expected and power == d
+
+
 def _binomial_pair(D: int) -> tuple[AlgPoly, AlgPoly]:
     """(Re, Im) of (c + i s)^D by direct binomial expansion; independent of
     the recurrence used in chebyshev_pair."""

@@ -11,14 +11,13 @@ import dataclasses
 import itertools
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra, experiments, field, gridio, lattice, nodal
-from .config import ExperimentConfig, load_config
+from .config import load_config
 from .errors import (
     ArwError,
     ConfigParseError,
@@ -26,7 +25,6 @@ from .errors import (
     UnknownPolicy,
     ValidationError,
 )
-from .experiments import MPolicy
 
 
 def _json_dump(obj, path: str | None) -> None:
@@ -118,13 +116,7 @@ def cmd_algebra(args) -> int:
         ok = ok and report.passed
     if args.jacobian_example:
         d, D = args.jacobian_example
-        poly = algebra.example_trig_poly(d, D, d + 1)
-        jac, power = algebra.gradient_system_jacobian(poly)
-        expected = algebra.AlgPoly.constant(2 * d, 2 * D**2) ** d
-        for j in range(d):
-            _, S = algebra.chebyshev_pair(D)
-            expected = expected * S.embed(2 * d, [2 * j, 2 * j + 1])
-        passed = jac == expected and power == d
+        passed = algebra.jacobian_example_holds(d, D)
         payload["jacobian_example"] = {"d": d, "D": D, "passed": passed}
         ok = ok and passed
     payload["passed"] = ok
@@ -134,147 +126,19 @@ def cmd_algebra(args) -> int:
 
 # ---------------------------------------------------------------- experiment
 
-def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {}
-    if args.trials is not None:
-        updates["trials"] = args.trials
-    if args.master_seed is not None:
-        updates["master_seed"] = args.master_seed
-    if args.parallelism is not None:
-        updates["parallelism"] = args.parallelism
-    if args.csv is not None:
-        updates["csv"] = args.csv
-    if args.report is not None:
-        updates["report"] = args.report
-    if args.plots_dir is not None:
-        updates["plots_dir"] = args.plots_dir
-    if updates:
-        config = dataclasses.replace(config, **updates)
-    return config.validate()
-
-
-def _per_n_seed(master_seed: int, n: int) -> int:
-    return int(np.random.SeedSequence(master_seed, spawn_key=(n,)).generate_state(1, np.uint64)[0])
-
-
 def run_config(path: str, overrides=None) -> int:
-    """Run the experiment a config file describes; emit CSV, JSON report,
-    and optional plot-data series."""
+    """Run the experiment a config file describes; each attribute of
+    `overrides` that names a config key and is not None replaces it."""
     config = load_config(path)
     if overrides is not None:
-        config = _apply_overrides(config, overrides)
-    saved = os.environ.get("ARW_MEMORY_BUDGET_MB")
-    if config.memory_budget_mb > 0:
-        # worker processes inherit the budget through the environment
-        os.environ["ARW_MEMORY_BUDGET_MB"] = str(config.memory_budget_mb)
-    try:
-        return _run_experiment(config)
-    finally:
-        if saved is None:
-            os.environ.pop("ARW_MEMORY_BUDGET_MB", None)
-        else:
-            os.environ["ARW_MEMORY_BUDGET_MB"] = saved
-
-
-def _run_experiment(config: ExperimentConfig) -> int:
-    if config.policy == "explicit":
-        ns = sorted(config.n_values)
-    else:
-        ns = lattice.admissible_sequence(config.d, config.n_min, config.n_max, config.policy)
-    m_policy = MPolicy.parse(config.m_policy)
-
-    records: list[experiments.TrialRecord] = []
-    for n in ns:
-        records.extend(
-            experiments.run_trials(
-                config.d,
-                n,
-                config.trials,
-                m_policy,
-                _per_n_seed(config.master_seed, n),
-                parallelism=config.parallelism,
-            )
-        )
-    experiments.write_trials_csv(config.csv, records)
-
-    report: dict = {
-        "config": dataclasses.asdict(config),
-        "n_values": ns,
-        "records": len(records),
-        "errors": sum(1 for rec in records if rec.error),
-    }
-    epsilons = config.epsilons or None
-    try:
-        conc = experiments.concentration_report(records, epsilons=epsilons)
-        report["concentration"] = {
-            "epsilons": list(conc.epsilons),
-            "per_n": [
-                {
-                    "n": stats.n,
-                    "dim_HL": stats.dim_HL,
-                    "trials": stats.trials,
-                    "certified_trials": stats.certified_trials,
-                    "uncertified_fraction": stats.uncertified_fraction,
-                    "mean": stats.mean,
-                    "median": stats.median,
-                    "variance": stats.variance,
-                    "tail_freqs": {repr(eps): f for eps, f in stats.tail_freqs.items()},
-                }
-                for stats in conc.per_n
-            ],
-            "slopes": {repr(eps): slope for eps, slope in conc.slopes.items()},
+        updates = {
+            f.name: getattr(overrides, f.name)
+            for f in dataclasses.fields(config)
+            if getattr(overrides, f.name, None) is not None
         }
-    except ArwError as exc:
-        conc = None
-        report["concentration"] = None
-        report["concentration_note"] = str(exc)
-    try:
-        nu = experiments.nu_estimate(records)
-        report["nu"] = {
-            "nu_hat": nu.nu_hat,
-            "std_error": nu.std_error,
-            "stabilization_gap": nu.stabilization_gap,
-            "per_n_mean": {str(n): mean for n, mean in sorted(nu.per_n_mean.items())},
-        }
-    except ArwError as exc:
-        report["nu"] = None
-        report["nu_note"] = str(exc)
-    try:
-        report["diameter_scaling_exponent"] = experiments.diameter_scaling(records, config.d)
-    except ArwError as exc:
-        report["diameter_scaling_exponent"] = None
-        report["diameter_scaling_note"] = str(exc)
-
-    with open(config.report, "w") as fh:
-        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-
-    if config.plots_dir and conc is not None:
-        os.makedirs(config.plots_dir, exist_ok=True)
-        _write_plot_series(config.plots_dir, conc)
+        config = dataclasses.replace(config, **updates).validate()
+    experiments.run_experiment(config)
     return 0
-
-
-def _write_plot_series(plots_dir: str, conc: experiments.ConcentrationReport) -> None:
-    def write(name: str, rows: list[tuple[float, float, str]]) -> None:
-        with open(os.path.join(plots_dir, name), "w") as fh:
-            fh.write("x,y,series\n")
-            for x, y, series in rows:
-                fh.write(f"{x!r},{y!r},{series}\n")
-
-    write(
-        "count_vs_L.csv",
-        [(math.sqrt(s.n), s.mean, "mean_scaled_count") for s in conc.per_n]
-        + [(math.sqrt(s.n), s.median, "median_scaled_count") for s in conc.per_n],
-    )
-    write("variance_vs_dim.csv", [(float(s.dim_HL), s.variance, "variance") for s in conc.per_n])
-    write(
-        "tail_vs_dim.csv",
-        [
-            (float(s.dim_HL), s.tail_freqs[eps], f"eps={eps!r}")
-            for eps in conc.epsilons
-            for s in conc.per_n
-        ],
-    )
 
 
 def cmd_experiment(args) -> int:
@@ -394,14 +258,7 @@ def verify_suite(fault: str | None = None) -> list[CheckResult]:
         report = algebra.verify_csd_identities(8)
         if not report.passed:
             raise AssertionError("identity suite failed")
-        d, D = 2, 2
-        poly = algebra.example_trig_poly(d, D, d + 1)
-        jac, power = algebra.gradient_system_jacobian(poly)
-        expected = algebra.AlgPoly.constant(2 * d, 2 * D**2) ** d
-        for j in range(d):
-            _, S = algebra.chebyshev_pair(D)
-            expected = expected * S.embed(2 * d, [2 * j, 2 * j + 1])
-        if jac != expected or power != d:
+        if not algebra.jacobian_example_holds(2, 2):
             raise AssertionError("Jacobian example mismatch")
         return "C/S identities and Jacobian product exact"
 

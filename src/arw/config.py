@@ -9,34 +9,24 @@ byte for byte, so configs are archivable run artifacts.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigParseError, ValidationError
 from .experiments import MPolicy
 from .lattice import POLICIES
 
-_EXPERIMENT_KEYS = (
-    "d",
-    "policy",
-    "n_values",
-    "n_min",
-    "n_max",
-    "trials",
-    "m_policy",
-    "master_seed",
-    "epsilons",
-    "parallelism",
-    "memory_budget_mb",
-)
-_OUTPUT_KEYS = ("csv", "report", "plots_dir")
-
 SEQUENCE_POLICIES = ("explicit",) + POLICIES
+
+_OUTPUT = {"section": "output"}  # field metadata; every other field is in [experiment]
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    d: int
-    policy: str
+    """One experiment; each field is the config key of the same name."""
+
+    d: int = 2
+    policy: str = "explicit"
     n_values: tuple[int, ...] = ()
     n_min: int = 0
     n_max: int = 0
@@ -46,9 +36,9 @@ class ExperimentConfig:
     epsilons: tuple[float, ...] = ()
     parallelism: int = 1
     memory_budget_mb: int = 0  # 0: leave the environment default in place
-    csv: str = "trials.csv"
-    report: str = "report.json"
-    plots_dir: str = ""
+    csv: str = field(default="trials.csv", metadata=_OUTPUT)
+    report: str = field(default="report.json", metadata=_OUTPUT)
+    plots_dir: str = field(default="", metadata=_OUTPUT)
 
     def validate(self) -> "ExperimentConfig":
         if self.d < 2:
@@ -60,6 +50,10 @@ class ExperimentConfig:
         if self.policy == "explicit":
             if not self.n_values:
                 raise ValidationError("experiment.n_values required for policy = explicit")
+            if min(self.n_values) < 1:
+                raise ValidationError("experiment.n_values must be >= 1")
+            if len(set(self.n_values)) < len(self.n_values):
+                raise ValidationError("experiment.n_values must not repeat a value")
         else:
             if self.n_min < 1 or self.n_max < self.n_min:
                 raise ValidationError("experiment.n_min/n_max must satisfy 1 <= n_min <= n_max")
@@ -70,61 +64,53 @@ class ExperimentConfig:
         if self.memory_budget_mb < 0:
             raise ValidationError("experiment.memory_budget_mb must be >= 0")
         MPolicy.parse(self.m_policy)  # raises ValidationError if malformed
-        if any(e <= 0 for e in self.epsilons):
-            raise ValidationError("experiment.epsilons must be positive")
+        if not all(0 < e < math.inf for e in self.epsilons):
+            raise ValidationError("experiment.epsilons must be positive and finite")
         if not self.csv or not self.report:
             raise ValidationError("output.csv and output.report are required")
         return self
 
     def to_ini(self) -> str:
-        lines = ["[experiment]"]
-        lines.append(f"d = {self.d}")
-        lines.append(f"policy = {self.policy}")
-        lines.append(f"n_values = {','.join(str(n) for n in self.n_values)}")
-        lines.append(f"n_min = {self.n_min}")
-        lines.append(f"n_max = {self.n_max}")
-        lines.append(f"trials = {self.trials}")
-        lines.append(f"m_policy = {MPolicy.parse(self.m_policy)}")
-        lines.append(f"master_seed = {self.master_seed}")
-        lines.append(f"epsilons = {','.join(repr(e) for e in self.epsilons)}")
-        lines.append(f"parallelism = {self.parallelism}")
-        lines.append(f"memory_budget_mb = {self.memory_budget_mb}")
-        lines.append("")
-        lines.append("[output]")
-        lines.append(f"csv = {self.csv}")
-        lines.append(f"report = {self.report}")
-        lines.append(f"plots_dir = {self.plots_dir}")
-        lines.append("")
+        lines = []
+        for section, keys in _SECTIONS.items():
+            lines.append(f"[{section}]")
+            for f in keys:
+                value = getattr(self, f.name)
+                if f.name == "m_policy":
+                    value = MPolicy.parse(value)
+                elif isinstance(value, tuple):
+                    value = ",".join(repr(v) for v in value)
+                lines.append(f"{f.name} = {value}")
+            lines.append("")
         return "\n".join(lines)
 
 
-def _parse_int(section: str, key: str, raw: str, default: int) -> int:
-    if raw.strip() == "":
-        return default
-    try:
-        return int(raw.strip())
-    except ValueError:
-        raise ValidationError(f"{section}.{key}: {raw!r} is not an integer") from None
+_SECTIONS = {
+    section: [
+        f for f in fields(ExperimentConfig) if f.metadata.get("section", "experiment") == section
+    ]
+    for section in ("experiment", "output")
+}
+# annotation of a non-str field -> (element type, what a malformed value is not)
+_SCALARS = {
+    "int": (int, "an integer"),
+    "tuple[int, ...]": (int, "a comma list of integers"),
+    "tuple[float, ...]": (float, "a comma list of numbers"),
+}
 
 
-def _parse_int_list(section: str, key: str, raw: str) -> tuple[int, ...]:
+def _parse(section: str, f, raw: str):
+    """The value of field `f` from its config text; blank means the default."""
     raw = raw.strip()
-    if not raw:
-        return ()
+    if not raw or f.type == "str":
+        return raw or f.default
+    scalar, what = _SCALARS[f.type]
     try:
-        return tuple(int(v.strip()) for v in raw.split(",") if v.strip())
+        if f.type == "int":
+            return int(raw)
+        return tuple(scalar(v.strip()) for v in raw.split(",") if v.strip())
     except ValueError:
-        raise ValidationError(f"{section}.{key}: {raw!r} is not a comma list of integers") from None
-
-
-def _parse_float_list(section: str, key: str, raw: str) -> tuple[float, ...]:
-    raw = raw.strip()
-    if not raw:
-        return ()
-    try:
-        return tuple(float(v.strip()) for v in raw.split(",") if v.strip())
-    except ValueError:
-        raise ValidationError(f"{section}.{key}: {raw!r} is not a comma list of numbers") from None
+        raise ValidationError(f"{section}.{f.name}: {raw!r} is not {what}") from None
 
 
 def from_ini(text: str) -> ExperimentConfig:
@@ -140,37 +126,18 @@ def from_ini(text: str) -> ExperimentConfig:
         raise ConfigParseError(str(exc)) from exc
 
     for section in parser.sections():
-        if section not in ("experiment", "output"):
+        if section not in _SECTIONS:
             raise ValidationError(f"unknown section [{section}]")
-    exp = parser["experiment"] if parser.has_section("experiment") else {}
-    out = parser["output"] if parser.has_section("output") else {}
-    for key in exp:
-        if key not in _EXPERIMENT_KEYS:
-            raise ValidationError(f"unknown key experiment.{key}")
-    for key in out:
-        if key not in _OUTPUT_KEYS:
-            raise ValidationError(f"unknown key output.{key}")
-
-    get = lambda sec, key, default="": sec.get(key, default) if sec else default
-    config = ExperimentConfig(
-        d=_parse_int("experiment", "d", get(exp, "d"), 2),
-        policy=get(exp, "policy", "explicit").strip() or "explicit",
-        n_values=_parse_int_list("experiment", "n_values", get(exp, "n_values")),
-        n_min=_parse_int("experiment", "n_min", get(exp, "n_min"), 0),
-        n_max=_parse_int("experiment", "n_max", get(exp, "n_max"), 0),
-        trials=_parse_int("experiment", "trials", get(exp, "trials"), 1),
-        m_policy=get(exp, "m_policy", "per_L:16").strip() or "per_L:16",
-        master_seed=_parse_int("experiment", "master_seed", get(exp, "master_seed"), 0),
-        epsilons=_parse_float_list("experiment", "epsilons", get(exp, "epsilons")),
-        parallelism=_parse_int("experiment", "parallelism", get(exp, "parallelism"), 1),
-        memory_budget_mb=_parse_int(
-            "experiment", "memory_budget_mb", get(exp, "memory_budget_mb"), 0
-        ),
-        csv=get(out, "csv", "trials.csv").strip() or "trials.csv",
-        report=get(out, "report", "report.json").strip() or "report.json",
-        plots_dir=get(out, "plots_dir", "").strip(),
-    )
-    return config.validate()
+    texts = {s: parser[s] if parser.has_section(s) else {} for s in _SECTIONS}
+    for section, keys in _SECTIONS.items():
+        for key in texts[section]:
+            if key not in {f.name for f in keys}:
+                raise ValidationError(f"unknown key {section}.{key}")
+    return ExperimentConfig(**{
+        f.name: _parse(section, f, texts[section].get(f.name, ""))
+        for section, keys in _SECTIONS.items()
+        for f in keys
+    }).validate()
 
 
 def load_config(path: str) -> ExperimentConfig:

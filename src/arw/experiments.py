@@ -1,4 +1,6 @@
-"""Monte-Carlo trials over the wave ensemble and their statistics.
+"""Monte-Carlo trials over the wave ensemble, their statistics, and the
+config-driven experiment run that writes the trials CSV, the JSON report
+and the plot-data series.
 
 Each trial is a pure function of (master_seed, trial_index), so runs are
 reproducible at any parallelism.  Statistics are computed over certified
@@ -10,18 +12,20 @@ statements are about.
 from __future__ import annotations
 
 import csv
+import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InsufficientTrials, MemoryBudgetExceeded, ValidationError
+from .errors import ArwError, InsufficientTrials, MemoryBudgetExceeded, ValidationError
 from .field import min_alias_free_M, sample_coefficients
-from .lattice import enumerate_shell
+from .lattice import admissible_sequence, enumerate_shell
 from .nodal import analyze
 
 CSV_COLUMNS = (
@@ -65,9 +69,12 @@ class MPolicy:
             kind = kind.strip()
             if kind in ("fixed", "per_L"):
                 try:
-                    return MPolicy(kind, int(raw))
+                    value = int(raw)
                 except ValueError:
                     raise ValidationError(f"m_policy value {raw!r} is not an integer") from None
+                if value < 1:
+                    raise ValidationError(f"m_policy value {raw!r} must be >= 1")
+                return MPolicy(kind, value)
         raise ValidationError(f"unknown m_policy {text!r}")
 
     def __str__(self) -> str:
@@ -174,7 +181,7 @@ def run_trials(
     parallelism (wall times aside) because trial t draws from the
     (master_seed, t) stream."""
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ValidationError("trials must be >= 1")
     jobs = [(d, n, m_policy, master_seed, t) for t in range(trials)]
     if parallelism <= 1:
         return [run_trial(*job) for job in jobs]
@@ -248,7 +255,7 @@ class ConcentrationReport:
     slopes: dict[float, Optional[float]] = field(default_factory=dict)
 
 
-def _group_certified(records: Sequence[TrialRecord]) -> dict[int, list[TrialRecord]]:
+def _group_by_n(records: Sequence[TrialRecord]) -> dict[int, list[TrialRecord]]:
     groups: dict[int, list[TrialRecord]] = {}
     for rec in records:
         groups.setdefault(rec.n, []).append(rec)
@@ -268,7 +275,7 @@ def concentration_report(
     log(frequency) vs dim_HL using only strictly positive frequencies and
     at least three support points.
     """
-    groups = _group_certified(records)
+    groups = _group_by_n(records)
     if not groups:
         raise InsufficientTrials("no records")
     certified_all = [rec.scaled_count for rec in records if rec.certified]
@@ -327,7 +334,7 @@ class NuEstimate:
 def nu_estimate(records: Sequence[TrialRecord]) -> NuEstimate:
     """Mean of k/L^d per n; the estimate is the mean at the largest n, with
     the relative gap to the second largest as the stabilization measure."""
-    groups = _group_certified(records)
+    groups = _group_by_n(records)
     means: dict[int, float] = {}
     counts: dict[int, int] = {}
     stds: dict[int, float] = {}
@@ -353,7 +360,7 @@ def nu_estimate(records: Sequence[TrialRecord]) -> NuEstimate:
 def diameter_scaling(records: Sequence[TrialRecord], d: int) -> float:
     """Least-squares exponent of mean total component diameter against
     L = sqrt(n); the trigonometric degree bound predicts d-1."""
-    groups = _group_certified(records)
+    groups = _group_by_n(records)
     xs, ys = [], []
     for n in sorted(groups):
         vals = [rec.sum_diameters for rec in groups[n] if rec.certified]
@@ -365,6 +372,114 @@ def diameter_scaling(records: Sequence[TrialRecord], d: int) -> float:
     if len(xs) < 3:
         raise InsufficientTrials("need >= 3 distinct n with certified trials")
     return float(np.polyfit(np.array(xs), np.array(ys), 1)[0])
+
+
+def _per_n_seed(master_seed: int, n: int) -> int:
+    return int(np.random.SeedSequence(master_seed, spawn_key=(n,)).generate_state(1, np.uint64)[0])
+
+
+def run_experiment(config) -> None:
+    """Run the experiment a validated `config.ExperimentConfig` describes:
+    the trials for each n, the trials CSV, the JSON report and, when
+    `plots_dir` is set and the concentration statistics exist, the
+    plot-data series.  A positive `memory_budget_mb` holds as
+    ARW_MEMORY_BUDGET_MB for the run (worker processes inherit it); the
+    prior value, or its absence, is restored afterwards."""
+    saved = os.environ.get("ARW_MEMORY_BUDGET_MB")
+    if config.memory_budget_mb > 0:
+        os.environ["ARW_MEMORY_BUDGET_MB"] = str(config.memory_budget_mb)
+    try:
+        _run_experiment(config)
+    finally:
+        if saved is None:
+            os.environ.pop("ARW_MEMORY_BUDGET_MB", None)
+        else:
+            os.environ["ARW_MEMORY_BUDGET_MB"] = saved
+
+
+def _run_experiment(config) -> None:
+    if config.policy == "explicit":
+        ns = sorted(config.n_values)
+    else:
+        ns = admissible_sequence(config.d, config.n_min, config.n_max, config.policy)
+    m_policy = MPolicy.parse(config.m_policy)
+    records: list[TrialRecord] = []
+    for n in ns:
+        records.extend(
+            run_trials(
+                config.d,
+                n,
+                config.trials,
+                m_policy,
+                _per_n_seed(config.master_seed, n),
+                parallelism=config.parallelism,
+            )
+        )
+    write_trials_csv(config.csv, records)
+
+    report: dict = {
+        "config": asdict(config),
+        "n_values": ns,
+        "records": len(records),
+        "errors": sum(1 for rec in records if rec.error),
+    }
+    # a statistic the records cannot support is reported as null with a note
+    stats = {}
+    for key, note, compute in (
+        ("concentration", "concentration_note",
+         lambda: concentration_report(records, epsilons=config.epsilons or None)),
+        ("nu", "nu_note", lambda: nu_estimate(records)),
+        ("diameter_scaling_exponent", "diameter_scaling_note",
+         lambda: diameter_scaling(records, config.d)),
+    ):
+        try:
+            stats[key] = compute()
+        except ArwError as exc:
+            stats[key] = None
+            report[note] = str(exc)
+    conc, nu = stats["concentration"], stats["nu"]
+    report["diameter_scaling_exponent"] = stats["diameter_scaling_exponent"]
+    report["concentration"] = None if conc is None else {
+        "epsilons": list(conc.epsilons),
+        "per_n": [
+            {**asdict(s), "tail_freqs": {repr(e): f for e, f in s.tail_freqs.items()}}
+            for s in conc.per_n
+        ],
+        "slopes": {repr(eps): slope for eps, slope in conc.slopes.items()},
+    }
+    report["nu"] = None if nu is None else {
+        **asdict(nu),
+        "per_n_mean": {str(n): mean for n, mean in nu.per_n_mean.items()},
+    }
+    with open(config.report, "w") as fh:
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+
+    if config.plots_dir and conc is not None:
+        os.makedirs(config.plots_dir, exist_ok=True)
+        _write_plot_series(config.plots_dir, conc)
+
+
+def _write_plot_series(plots_dir: str, conc: ConcentrationReport) -> None:
+    def write(name: str, rows: list[tuple[float, float, str]]) -> None:
+        with open(os.path.join(plots_dir, name), "w") as fh:
+            fh.write("x,y,series\n")
+            for x, y, series in rows:
+                fh.write(f"{x!r},{y!r},{series}\n")
+
+    write(
+        "count_vs_L.csv",
+        [(math.sqrt(s.n), s.mean, "mean_scaled_count") for s in conc.per_n]
+        + [(math.sqrt(s.n), s.median, "median_scaled_count") for s in conc.per_n],
+    )
+    write("variance_vs_dim.csv", [(float(s.dim_HL), s.variance, "variance") for s in conc.per_n])
+    write(
+        "tail_vs_dim.csv",
+        [
+            (float(s.dim_HL), s.tail_freqs[eps], f"eps={eps!r}")
+            for eps in conc.epsilons
+            for s in conc.per_n
+        ],
+    )
 
 
 @dataclass(frozen=True)
@@ -408,7 +523,7 @@ def proof_exponents(d: int) -> ProofExponents:
     """Exponents minimizing max(h, t): b = a + 1, 2k = d + 1,
     4g = (d+1)(d+3), r = 1, 2a = (d+1)(d+2), and 2h = 2t = (d+2)^2 - 1."""
     if d < 2:
-        raise ValueError("d must be >= 2")
+        raise ValidationError("d must be >= 2")
     a = Fraction((d + 1) * (d + 2), 2)
     h = Fraction(d + 1, 2) + a
     return ProofExponents(

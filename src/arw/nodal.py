@@ -32,6 +32,11 @@ from . import rng
 from .errors import MemoryBudgetExceeded, PerturbationTooLarge, Uncertified
 from .field import FieldGrid, WaveSample, eval_grid, sample_from_arrays
 
+# The nearest vertex is at most half a cell diagonal away (stability_margins).
+_GUARD = 0.5
+# Counts may move by max(1, this fraction of the count) across a grid doubling.
+_DRIFT_TOLERANCE = 0.02
+
 
 @dataclass(frozen=True)
 class SignGrid:
@@ -352,14 +357,13 @@ def stability_margins(
     sample: WaveSample,
     grid_value: FieldGrid,
     grid_gradnorm: np.ndarray,
-    guard: float = 0.5,
 ) -> Margins:
     """Margins (alpha, beta) and the analytic between-vertex certificate.
 
     The variation budget uses the l1 coefficient bound rho_c: B1 = 2*pi*L*rho_c
     bounds |grad f|, B2 = (2*pi*L)^2*rho_c bounds the Hessian norm, and the
-    guard factor accounts for the nearest-vertex distance being half the
-    cell diagonal.  Conservative but sound; random fields at practical
+    guard factor _GUARD accounts for the nearest-vertex distance being half
+    the cell diagonal.  Conservative but sound; random fields at practical
     resolutions are instead certified through refinement agreement (see
     `analyze`).
     """
@@ -373,7 +377,7 @@ def stability_margins(
     b1 = 2.0 * np.pi * L * rho_c
     b2 = (2.0 * np.pi * L) ** 2 * rho_c
     s = math.sqrt(shell.d) / grid_value.M
-    certified = mu - b2 * s * s / 2.0 - b1 * s * guard > 0.0
+    certified = mu - b2 * s * s / 2.0 - b1 * s * _GUARD > 0.0
     return Margins(alpha=mu / 2.0, beta=np.pi * mu, certified=bool(certified), mu=mu)
 
 
@@ -439,8 +443,8 @@ def _mu_floor(sample: WaveSample) -> float:
     return 1e-10 * max(1.0, b1)
 
 
-def _drift_ok(prev: _Bundle, cur: _Bundle, tolerance: float) -> bool:
-    budget = max(1, math.ceil(tolerance * max(cur.k, cur.r)))
+def _drift_ok(prev: _Bundle, cur: _Bundle) -> bool:
+    budget = max(1, math.ceil(_DRIFT_TOLERANCE * max(cur.k, cur.r)))
     return abs(cur.k - prev.k) <= budget and abs(cur.r - prev.r) <= budget
 
 
@@ -450,8 +454,6 @@ def analyze(
     auto_refine: bool = False,
     *,
     refine_check: bool = True,
-    guard: float = 0.5,
-    drift_tolerance: float = 0.02,
 ) -> NodalSummary:
     """Full nodal pipeline: signs, domains, components, margins.
 
@@ -467,18 +469,11 @@ def analyze(
     either the conservative analytic margin certificate fires, or all of:
     the vertex margin is positive (above FFT noise), the component/domain
     counts satisfy the consistency gate r - 1 <= k <= r + d - 1, and the
-    counts moved by at most max(1, drift_tolerance * count) across the
+    counts moved by at most max(1, _DRIFT_TOLERANCE * count) across the
     last grid doubling.  Degenerate fields yield certified=False, never an
     error.
     """
-    summary, _ = _analyze_core(
-        sample,
-        M,
-        auto_refine,
-        refine_check=refine_check,
-        guard=guard,
-        drift_tolerance=drift_tolerance,
-    )
+    summary, _ = _analyze_core(sample, M, auto_refine, refine_check=refine_check)
     return summary
 
 
@@ -488,8 +483,6 @@ def _analyze_core(
     auto_refine: bool = False,
     *,
     refine_check: bool = True,
-    guard: float = 0.5,
-    drift_tolerance: float = 0.02,
 ) -> tuple[NodalSummary, _Bundle]:
     levels = 0
     stabilized = False
@@ -518,13 +511,13 @@ def _analyze_core(
         else:
             coarse = _count(_coarsen(value))
             bundle = _count(value)
-            stabilized = _drift_ok(coarse, bundle, drift_tolerance)
+            stabilized = _drift_ok(coarse, bundle)
             levels = 1
     else:
         value = eval_grid(sample, M)
         bundle = _count(value)
     # gradients and margins only for the level the summary reports
-    margins = stability_margins(sample, value, gradient_norm_grid(sample, value.M), guard=guard)
+    margins = stability_margins(sample, value, gradient_norm_grid(sample, value.M))
 
     d = sample.shell.d
     gate = bundle.r - 1 <= bundle.k <= bundle.r + d - 1
@@ -593,8 +586,6 @@ def perturb_and_compare(
     perturbation_scale: float,
     perturb_seed: int,
     M: int,
-    *,
-    guard: float = 0.5,
 ) -> PerturbationResult:
     """Add a small random perturbation from the same eigenspace and compare
     nodal components.
@@ -604,7 +595,7 @@ def perturb_and_compare(
     verified on the grid against alpha/2 and beta*L/2 before comparing.
     Components are matched by overlap of their mixed-cell sets.
     """
-    base_summary, base_bundle = _analyze_core(sample, M, guard=guard)
+    base_summary, base_bundle = _analyze_core(sample, M)
     if not base_summary.certified:
         raise Uncertified("base sample is not certified")
     alpha, beta = base_summary.alpha, base_summary.beta
@@ -631,7 +622,7 @@ def perturb_and_compare(
     perturbed = sample_from_arrays(
         shell, np.asarray(sample.a) + ga * scale, np.asarray(sample.b) + gb * scale
     )
-    _, pert_bundle = _analyze_core(perturbed, M, guard=guard)
+    _, pert_bundle = _analyze_core(perturbed, M)
     if pert_bundle.M != base_bundle.M:
         # memory budget intervened asymmetrically; match at the coarser grid
         coarse = min(pert_bundle.M, base_bundle.M)

@@ -4,8 +4,8 @@ import struct
 
 import pytest
 
-from arw import cli, gridio
-from arw.config import canonicalize, from_ini
+from arw import cli, experiments, gridio
+from arw.config import ExperimentConfig, canonicalize, from_ini, load_config
 from arw.errors import ConfigParseError, ValidationError
 
 MINIMAL_CONFIG = """
@@ -130,6 +130,28 @@ def test_config_canonicalization_idempotent(tmp_path):
     assert canonicalize(canon) == canon
 
 
+def test_config_roundtrip_every_field():
+    config = ExperimentConfig(
+        d=3,
+        policy="all",
+        n_values=(9, 17),
+        n_min=3,
+        n_max=30,
+        trials=7,
+        m_policy="fixed:40",
+        master_seed=5,
+        epsilons=(0.05, 0.125),
+        parallelism=2,
+        memory_budget_mb=64,
+        csv="t.csv",
+        report="r.json",
+        plots_dir="plots",
+    )
+    defaults = ExperimentConfig()
+    assert all(getattr(config, k) != getattr(defaults, k) for k in vars(defaults))
+    assert from_ini(config.to_ini()) == config
+
+
 def test_config_unknown_key_rejected():
     text = MINIMAL_CONFIG.format(csv="a.csv", report="r.json") + "wibble = 3\n"
     with pytest.raises(ValidationError, match="wibble"):
@@ -211,6 +233,29 @@ def test_malformed_memory_budget_exit_code(tmp_path, monkeypatch, capsys):
     assert run_cli("experiment", "--config", str(config)) == 2
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("n_values = 0,5", "n_values must be >= 1"),
+        ("n_values = 5,5", "n_values must not repeat"),
+        ("epsilons = nan", "epsilons must be positive and finite"),
+        ("m_policy = per_L:-4", "must be >= 1"),
+        ("m_policy = fixed:0", "must be >= 1"),
+    ],
+    ids=["n_zero", "n_repeated", "epsilon_nan", "per_L_negative", "fixed_zero"],
+)
+def test_experiment_rejects_bad_config_values(tmp_path, capsys, line, message):
+    key = line.split(" = ")[0]
+    text = MINIMAL_CONFIG.format(csv=tmp_path / "t.csv", report=tmp_path / "r.json")
+    lines = [row for row in text.splitlines() if not row.startswith(key + " =")]
+    lines.insert(lines.index("[experiment]") + 1, line)
+    config = tmp_path / "bad.ini"
+    config.write_text("\n".join(lines) + "\n")
+    assert run_cli("experiment", "--config", str(config)) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_experiment_unknown_key_exit_code(tmp_path, capsys):
     config = tmp_path / "bad.ini"
     config.write_text("[experiment]\nd = 2\nbogus = 1\n")
@@ -231,6 +276,32 @@ def test_experiment_with_plots(tmp_path):
         series = (plots / name).read_text().splitlines()
         assert series[0] == "x,y,series"
         assert len(series) > 1
+
+
+def test_run_experiment_matches_cli(tmp_path):
+    def outputs(out):
+        rows = [line.rsplit(",", 1)[0] for line in (out / "trials.csv").read_text().splitlines()]
+        files = sorted((out / "plots").iterdir()) + [out / "report.json"]
+        return rows, [(f.name, f.read_text().replace(str(out), "OUT")) for f in files]
+
+    results = []
+    for name in ("cli", "direct"):
+        out = tmp_path / name
+        out.mkdir()
+        config = out / "run.ini"
+        config.write_text(
+            MINIMAL_CONFIG.format(csv=out / "trials.csv", report=out / "report.json")
+            .replace("trials = 2", "trials = 35")
+            + f"plots_dir = {out / 'plots'}\n"
+        )
+        if name == "cli":
+            assert run_cli("experiment", "--config", str(config)) == 0
+        else:
+            experiments.run_experiment(load_config(str(config)))
+        results.append(outputs(out))
+    assert results[0] == results[1]
+    report = json.loads((tmp_path / "direct" / "report.json").read_text())
+    assert report["concentration"] is not None and len(results[0][1]) == 4
 
 
 def test_verify_suite_passes(capsys):

@@ -180,6 +180,13 @@ def test_diameter_scaling_needs_three_levels():
         diameter_scaling(records, 2)
 
 
+def test_bad_arguments_raise_validation_error():
+    with pytest.raises(ValidationError, match="trials"):
+        run_trials(2, 25, 0, MPolicy.parse("per_L:16"), 1)
+    with pytest.raises(ValidationError, match="d must be >= 2"):
+        proof_exponents(1)
+
+
 def test_proof_exponents_d2():
     e = proof_exponents(2)
     assert e.a == 6
