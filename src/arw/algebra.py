@@ -269,17 +269,6 @@ class TrigPoly:
         return total
 
 
-def _complex_circle_power(d: int, axis: int, power: int, sign: int) -> tuple[AlgPoly, AlgPoly]:
-    """(re, im) of (c_axis + i * sign * s_axis)^power in 2d variables."""
-    re = AlgPoly.constant(2 * d, Fraction(1))
-    im = AlgPoly(2 * d)
-    c = AlgPoly.variable(2 * d, 2 * axis)
-    s = AlgPoly.variable(2 * d, 2 * axis + 1).scale(Fraction(sign))
-    for _ in range(power):
-        re, im = re * c - im * s, re * s + im * c
-    return re, im
-
-
 def algebraize(T: TrigPoly) -> AlgPoly:
     """The polynomial P with T(x) = P(cos 2 pi x_1, sin 2 pi x_1, ...).
 
@@ -294,7 +283,10 @@ def algebraize(T: TrigPoly) -> AlgPoly:
         for axis, m in enumerate(lam):
             if m == 0:
                 continue
-            pre, pim = _complex_circle_power(T.d, axis, abs(m), 1 if m > 0 else -1)
+            # (c + i s)^|m| on this axis; m < 0 conjugates it
+            pre, pim = (P.embed(n, [2 * axis, 2 * axis + 1]) for P in chebyshev_pair(abs(m)))
+            if m < 0:
+                pim = -pim
             re, im = re * pre - im * pim, re * pim + im * pre
         out = out + re.scale(cc) + im.scale(sc)
     return out

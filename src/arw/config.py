@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 from .errors import ConfigParseError, ValidationError
 from .experiments import MPolicy
-from .lattice import POLICIES
+from .lattice import POLICIES, representation_count
 
 SEQUENCE_POLICIES = ("explicit",) + POLICIES
 
@@ -54,6 +54,11 @@ class ExperimentConfig:
                 raise ValidationError("experiment.n_values must be >= 1")
             if len(set(self.n_values)) < len(self.n_values):
                 raise ValidationError("experiment.n_values must not repeat a value")
+            empty = [n for n in self.n_values if representation_count(self.d, n) == 0]
+            if empty:
+                raise ValidationError(
+                    f"experiment.n_values {empty} are not sums of {self.d} squares (empty shells)"
+                )
         else:
             if self.n_min < 1 or self.n_max < self.n_min:
                 raise ValidationError("experiment.n_min/n_max must satisfy 1 <= n_min <= n_max")

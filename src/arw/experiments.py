@@ -382,9 +382,12 @@ def run_experiment(config) -> None:
     """Run the experiment a validated `config.ExperimentConfig` describes:
     the trials for each n, the trials CSV, the JSON report and, when
     `plots_dir` is set and the concentration statistics exist, the
-    plot-data series.  A positive `memory_budget_mb` holds as
-    ARW_MEMORY_BUDGET_MB for the run (worker processes inherit it); the
-    prior value, or its absence, is restored afterwards."""
+    plot-data series.  Trials that hit the memory guard keep their CSV
+    rows (k = r = 0, uncertified); once every output is written, the run
+    raises MemoryBudgetExceeded with their number.  A positive
+    `memory_budget_mb` holds as ARW_MEMORY_BUDGET_MB for the run (worker
+    processes inherit it); the prior value, or its absence, is restored
+    afterwards."""
     saved = os.environ.get("ARW_MEMORY_BUDGET_MB")
     if config.memory_budget_mb > 0:
         os.environ["ARW_MEMORY_BUDGET_MB"] = str(config.memory_budget_mb)
@@ -457,6 +460,11 @@ def _run_experiment(config) -> None:
     if config.plots_dir and conc is not None:
         os.makedirs(config.plots_dir, exist_ok=True)
         _write_plot_series(config.plots_dir, conc)
+    if report["errors"]:
+        raise MemoryBudgetExceeded(
+            f"{report['errors']} of {len(records)} trials hit the memory guard; their CSV rows "
+            f"(k = r = 0, uncertified) are not measurements"
+        )
 
 
 def _write_plot_series(plots_dir: str, conc: ConcentrationReport) -> None:

@@ -25,9 +25,6 @@ from .errors import EmptyShell, Overflow, UnknownPolicy, ValidationError
 
 INT64_MAX = 2**63 - 1
 
-# Enumeration beyond this is allowed but not supported by the storage contract.
-N_GUIDELINE = 10**9
-
 
 def _check_n(n: int) -> None:
     if n > INT64_MAX:

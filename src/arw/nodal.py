@@ -42,18 +42,20 @@ _DRIFT_TOLERANCE = 0.02
 class SignGrid:
     """Vertex signs of a value grid; exact zeros count as + and are tallied.
 
-    `center_plus` carries the sign of the cell-center value of the
-    multilinear interpolant (the corner mean).  In d=2 it settles each
-    checkerboard (saddle-straddling) cell once for both counts: the
-    diagonal whose sign matches it links two domain patches, and the
-    cell's zero set becomes the two segments that cut off the corners of
-    the other diagonal.
+    In d=2, `center_plus` carries the sign of the cell-center value of the
+    multilinear interpolant (the corner mean), and `saddles` splits the
+    checkerboard (saddle-straddling) cells by it, once for both counts:
+    `main` cells have v00-v11 matching the center, `anti` cells v10-v01.
+    The matching diagonal links two domain patches, and the cell's zero
+    set becomes the two segments that cut off the corners of the other
+    diagonal.  Both are None in other dimensions.
     """
 
     d: int
     M: int
     signs: np.ndarray = field(repr=False)  # True where f >= 0
-    center_plus: np.ndarray = field(repr=False)
+    center_plus: np.ndarray | None = field(default=None, repr=False)
+    saddles: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
     zero_hits: int = 0
 
 
@@ -65,16 +67,25 @@ def sign_grid(grid: FieldGrid) -> SignGrid:
         raise ValueError("grid contains non-finite values")
     signs = values >= 0.0
     signs.setflags(write=False)
-    center = values.copy()
-    for axis in range(grid.d):
-        center = center + np.roll(center, -1, axis=axis)
-    center_plus = center >= 0.0
-    center_plus.setflags(write=False)
+    center_plus = saddles = None
+    if grid.d == 2:
+        center = values + np.roll(values, -1, axis=0)
+        center_plus = center + np.roll(center, -1, axis=1) >= 0.0
+        center_plus.setflags(write=False)
+        s10 = np.roll(signs, -1, 0)
+        s01 = np.roll(signs, -1, 1)
+        s11 = np.roll(s10, -1, 1)
+        amb = (signs == s11) & (s10 == s01) & (signs != s10)
+        main = amb & (center_plus == signs)
+        saddles = (main, amb & ~main)
+        for split in saddles:
+            split.setflags(write=False)
     return SignGrid(
         d=grid.d,
         M=grid.M,
         signs=signs,
         center_plus=center_plus,
+        saddles=saddles,
         zero_hits=int(np.count_nonzero(values == 0.0)),
     )
 
@@ -182,19 +193,6 @@ def _merge_patches(patch_labels, first, cells, lo, hi, links) -> PeriodicLabelin
     )
 
 
-def _saddle_cells(sg: SignGrid) -> tuple[np.ndarray, np.ndarray]:
-    """d=2 checkerboard cells (equal diagonals, the two diagonals opposite),
-    split by the diagonal whose sign matches the center: `main` joins
-    v00-v11, `anti` joins v10-v01."""
-    s = sg.signs
-    s10 = np.roll(s, -1, 0)
-    s01 = np.roll(s, -1, 1)
-    s11 = np.roll(s10, -1, 1)
-    amb = (s == s11) & (s10 == s01) & (s != s10)
-    main = amb & (sg.center_plus == s)
-    return main, amb & ~main
-
-
 def _first_sites(labels: np.ndarray) -> np.ndarray:
     """Raster index of each label's first site.  scipy numbers labels by
     first occurrence, so the running maximum steps by one at each."""
@@ -231,7 +229,7 @@ def count_domains(sg: SignGrid) -> tuple[int, np.ndarray, np.ndarray]:
             np.broadcast_to(M * np.eye(d, dtype=np.int64)[axis], (np.count_nonzero(same), d)),
         ))
     if d == 2:
-        main, anti = _saddle_cells(sg)
+        main, anti = sg.saddles
         for saddles, da, db in ((main, (0, 0), (1, 1)), (anti, (1, 0), (0, 1))):
             base = np.argwhere(saddles)
             ua, ub = base + da, base + db
@@ -277,7 +275,7 @@ def count_components(
     second = np.zeros(0, dtype=np.int64)
     out_second = in_second = [None] * d
     if d == 2:
-        main, anti = _saddle_cells(sg)
+        main, anti = sg.saddles
         second = np.flatnonzero(main | anti)
         # the center sign pairs faces (S,E)+(W,N) on `main`, (W,S)+(E,N) on `anti`
         out_second, in_second = (anti, main | anti), (main, None)
@@ -390,6 +388,7 @@ class NodalSummary:
     domain_volumes: np.ndarray = field(repr=False)
     component_diameters: np.ndarray = field(repr=False)
     component_wraps: np.ndarray = field(repr=False)
+    component_labels: np.ndarray = field(repr=False)
     alpha: float = 0.0
     beta: float = 0.0
     certified: bool = False
@@ -400,33 +399,20 @@ class NodalSummary:
     sup_certified: bool = False
 
 
-@dataclass(frozen=True)
-class _Bundle:
-    M: int
-    k: int
-    r: int
-    volumes: np.ndarray
-    comp_cells: np.ndarray
-    diameters: np.ndarray
-    wraps: np.ndarray
-    comp_labels: np.ndarray
-    zero_hits: int
-
-
-def _count(value: FieldGrid) -> _Bundle:
+def _count(value: FieldGrid) -> NodalSummary:
+    """Counts and geometry of one grid, before margins and certification."""
     sg = sign_grid(value)
     r, volumes, _ = count_domains(sg)
-    k, comp_cells, diameters, wraps, comp_labels = count_components(sg)
-    return _Bundle(
-        M=value.M,
+    k, _, diameters, wraps, labels = count_components(sg)
+    return NodalSummary(
         k=k,
         r=r,
-        volumes=volumes,
-        comp_cells=comp_cells,
-        diameters=diameters,
-        wraps=wraps,
-        comp_labels=comp_labels,
+        domain_volumes=volumes,
+        component_diameters=diameters,
+        component_wraps=wraps,
+        component_labels=labels,
         zero_hits=sg.zero_hits,
+        M=value.M,
     )
 
 
@@ -443,103 +429,68 @@ def _mu_floor(sample: WaveSample) -> float:
     return 1e-10 * max(1.0, b1)
 
 
-def _drift_ok(prev: _Bundle, cur: _Bundle) -> bool:
-    budget = max(1, math.ceil(_DRIFT_TOLERANCE * max(cur.k, cur.r)))
-    return abs(cur.k - prev.k) <= budget and abs(cur.r - prev.r) <= budget
+def _drift_ok(prev: tuple[int, int], cur: tuple[int, int]) -> bool:
+    budget = max(1, math.ceil(_DRIFT_TOLERANCE * max(cur)))
+    return abs(cur[0] - prev[0]) <= budget and abs(cur[1] - prev[1]) <= budget
 
 
-def analyze(
-    sample: WaveSample,
-    M: int,
-    auto_refine: bool = False,
-    *,
-    refine_check: bool = True,
-) -> NodalSummary:
+def _settled(history: list[tuple[int, int]]) -> bool:
+    return len(history) >= 3 and history[-1] == history[-2] == history[-3]
+
+
+def analyze(sample: WaveSample, M: int, auto_refine: bool = False) -> NodalSummary:
     """Full nodal pipeline: signs, domains, components, margins.
 
-    With `auto_refine`, the grid is doubled until (k, r) are unchanged for
-    two consecutive refinements (or the memory budget is hit).  Otherwise a
-    single doubling cross-check runs when `refine_check` is set: only the
-    2M grid is synthesized and the M counts come from its even-index
-    vertices; if the budget refuses 2M, M alone is analyzed.  The summary
-    reports the finest grid computed, and the gradient grids and margins
-    are computed for that grid only.
+    The 2M grid is synthesized once, and the M counts come from its
+    even-index vertices; if the budget refuses 2M, M alone is analyzed.
+    With `auto_refine`, the grid keeps doubling until (k, r) are unchanged
+    for two consecutive refinements or the memory budget is hit.  The
+    summary reports the finest grid computed, with its component labels;
+    the gradient grids and margins are computed for that grid only.
 
     Certification is heuristic, not a proof.  A summary is certified when
     either the conservative analytic margin certificate fires, or all of:
     the vertex margin is positive (above FFT noise), the component/domain
     counts satisfy the consistency gate r - 1 <= k <= r + d - 1, and the
-    counts moved by at most max(1, _DRIFT_TOLERANCE * count) across the
-    last grid doubling.  Degenerate fields yield certified=False, never an
-    error.
+    counts are stable under refinement: unchanged over the last two
+    doublings with `auto_refine`, otherwise moved by at most
+    max(1, _DRIFT_TOLERANCE * count) across the one doubling.  Degenerate
+    fields yield certified=False, never an error.
     """
-    summary, _ = _analyze_core(sample, M, auto_refine, refine_check=refine_check)
-    return summary
-
-
-def _analyze_core(
-    sample: WaveSample,
-    M: int,
-    auto_refine: bool = False,
-    *,
-    refine_check: bool = True,
-) -> tuple[NodalSummary, _Bundle]:
-    levels = 0
-    stabilized = False
-    if auto_refine:
+    history = []
+    try:
+        value = eval_grid(sample, 2 * M)
+    except MemoryBudgetExceeded:
         value = eval_grid(sample, M)
-        bundle = _count(value)
-        history = [(bundle.k, bundle.r)]
-        while True:
-            try:
-                nxt = eval_grid(sample, bundle.M * 2)
-            except MemoryBudgetExceeded:
-                break
-            value, bundle = nxt, _count(nxt)
-            levels += 1
-            history.append((bundle.k, bundle.r))
-            if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
-                stabilized = True
-                break
-    elif refine_check:
-        # one synthesis at 2M serves both levels: the M grid is its even slice
-        try:
-            value = eval_grid(sample, 2 * M)
-        except MemoryBudgetExceeded:
-            value = eval_grid(sample, M)
-            bundle = _count(value)
-        else:
-            coarse = _count(_coarsen(value))
-            bundle = _count(value)
-            stabilized = _drift_ok(coarse, bundle)
-            levels = 1
     else:
-        value = eval_grid(sample, M)
-        bundle = _count(value)
-    # gradients and margins only for the level the summary reports
+        coarse = _count(_coarsen(value))
+        history.append((coarse.k, coarse.r))
+    summary = _count(value)
+    history.append((summary.k, summary.r))
+    while auto_refine and not _settled(history):
+        try:
+            value = eval_grid(sample, 2 * value.M)
+        except MemoryBudgetExceeded:
+            break
+        summary = _count(value)
+        history.append((summary.k, summary.r))
+    if auto_refine:
+        stabilized = _settled(history)
+    else:
+        stabilized = len(history) == 2 and _drift_ok(*history)
     margins = stability_margins(sample, value, gradient_norm_grid(sample, value.M))
 
-    d = sample.shell.d
-    gate = bundle.r - 1 <= bundle.k <= bundle.r + d - 1
-    certified = gate and (
-        margins.certified or (stabilized and margins.mu > _mu_floor(sample))
-    )
-    summary = NodalSummary(
-        k=bundle.k,
-        r=bundle.r,
-        domain_volumes=bundle.volumes,
-        component_diameters=bundle.diameters,
-        component_wraps=bundle.wraps,
+    gate = summary.r - 1 <= summary.k <= summary.r + sample.shell.d - 1
+    certified = gate and (margins.certified or (stabilized and margins.mu > _mu_floor(sample)))
+    return replace(
+        summary,
         alpha=margins.alpha,
         beta=margins.beta,
         certified=bool(certified),
-        refinement_levels=levels,
-        zero_hits=bundle.zero_hits,
-        M=bundle.M,
+        refinement_levels=len(history) - 1,
         mu=margins.mu,
         sup_certified=margins.certified,
     )
-    return summary, bundle
 
 
 def bessel_first_zero(nu: float, xtol: float = 1e-12) -> float:
@@ -595,10 +546,10 @@ def perturb_and_compare(
     verified on the grid against alpha/2 and beta*L/2 before comparing.
     Components are matched by overlap of their mixed-cell sets.
     """
-    base_summary, base_bundle = _analyze_core(sample, M)
-    if not base_summary.certified:
+    base = analyze(sample, M)
+    if not base.certified:
         raise Uncertified("base sample is not certified")
-    alpha, beta = base_summary.alpha, base_summary.beta
+    alpha, beta = base.alpha, base.beta
     shell = sample.shell
     L = shell.L
 
@@ -608,9 +559,8 @@ def perturb_and_compare(
     scale = perturbation_scale / raw_norm if (perturbation_scale > 0 and raw_norm > 0) else 0.0
     g = sample_from_arrays(shell, ga * scale, gb * scale)
 
-    Mf = base_bundle.M
-    g_val = eval_grid(g, Mf)
-    g_gradnorm = gradient_norm_grid(g, Mf)
+    g_val = eval_grid(g, base.M)
+    g_gradnorm = gradient_norm_grid(g, base.M)
     sup_g = float(np.max(np.abs(g_val.values)))
     sup_grad_g = float(np.max(g_gradnorm))
     if sup_g >= alpha / 2.0 or sup_grad_g >= beta * L / 2.0:
@@ -622,23 +572,19 @@ def perturb_and_compare(
     perturbed = sample_from_arrays(
         shell, np.asarray(sample.a) + ga * scale, np.asarray(sample.b) + gb * scale
     )
-    _, pert_bundle = _analyze_core(perturbed, M)
-    if pert_bundle.M != base_bundle.M:
-        # memory budget intervened asymmetrically; match at the coarser grid
-        coarse = min(pert_bundle.M, base_bundle.M)
-        base_bundle = _count(eval_grid(sample, coarse))
-        pert_bundle = _count(eval_grid(perturbed, coarse))
+    # same shell, M and budget: both analyses end on the same grid
+    pert = analyze(perturbed, M)
 
-    lab_b = base_bundle.comp_labels.ravel()
-    lab_a = pert_bundle.comp_labels.ravel()
+    lab_b = base.component_labels.ravel()
+    lab_a = pert.component_labels.ravel()
     both = (lab_b > 0) & (lab_a > 0)
     shifts = []
     matched = 0
     if np.any(both):
-        pair_ids = lab_b[both].astype(np.int64) * (pert_bundle.k + 1) + lab_a[both]
+        pair_ids = lab_b[both].astype(np.int64) * (pert.k + 1) + lab_a[both]
         uniq, counts = np.unique(pair_ids, return_counts=True)
-        overlap_b = uniq // (pert_bundle.k + 1)
-        overlap_a = uniq % (pert_bundle.k + 1)
+        overlap_b = uniq // (pert.k + 1)
+        overlap_a = uniq % (pert.k + 1)
         best: dict[int, tuple[int, int]] = {}
         for bid, aid, cnt in zip(overlap_b, overlap_a, counts):
             cur = best.get(int(bid))
@@ -646,13 +592,13 @@ def perturb_and_compare(
                 best[int(bid)] = (int(aid), int(cnt))
         for bid, (aid, _) in sorted(best.items()):
             shifts.append(
-                float(base_bundle.diameters[bid - 1] - pert_bundle.diameters[aid - 1])
+                float(base.component_diameters[bid - 1] - pert.component_diameters[aid - 1])
             )
             matched += 1
-    h = 1.0 / base_bundle.M
+    h = 1.0 / base.M
     return PerturbationResult(
-        n_before=base_bundle.k,
-        n_after=pert_bundle.k,
+        n_before=base.k,
+        n_after=pert.k,
         diam_shifts=np.asarray(shifts, dtype=float),
         matched=matched,
         alpha=alpha,

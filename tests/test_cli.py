@@ -241,8 +241,9 @@ def test_malformed_memory_budget_exit_code(tmp_path, monkeypatch, capsys):
         ("epsilons = nan", "epsilons must be positive and finite"),
         ("m_policy = per_L:-4", "must be >= 1"),
         ("m_policy = fixed:0", "must be >= 1"),
+        ("n_values = 5,7", "n_values [7] are not sums of 2 squares"),
     ],
-    ids=["n_zero", "n_repeated", "epsilon_nan", "per_L_negative", "fixed_zero"],
+    ids=["n_zero", "n_repeated", "epsilon_nan", "per_L_negative", "fixed_zero", "n_empty_shell"],
 )
 def test_experiment_rejects_bad_config_values(tmp_path, capsys, line, message):
     key = line.split(" = ")[0]
@@ -254,6 +255,19 @@ def test_experiment_rejects_bad_config_values(tmp_path, capsys, line, message):
     assert run_cli("experiment", "--config", str(config)) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_experiment_memory_guard_exit_code(tmp_path, capsys):
+    # every grid is refused: the outputs are still written, then the run fails
+    text = MINIMAL_CONFIG.format(csv=tmp_path / "t.csv", report=tmp_path / "r.json")
+    text = text.replace("n_values = 25", "n_values = 25,65").replace("trials = 2", "trials = 3")
+    text = text.replace("m_policy = per_L:16", "m_policy = fixed:1024\nmemory_budget_mb = 1")
+    config = tmp_path / "run.ini"
+    config.write_text(text)
+    assert run_cli("experiment", "--config", str(config)) == 1
+    assert "6 of 6 trials hit the memory guard" in capsys.readouterr().err
+    assert len((tmp_path / "t.csv").read_text().splitlines()) == 1 + 6
+    assert json.loads((tmp_path / "r.json").read_text())["errors"] == 6
 
 
 def test_experiment_unknown_key_exit_code(tmp_path, capsys):

@@ -269,12 +269,28 @@ def test_analyze_budget_admits_M_not_2M(monkeypatch):
     monkeypatch.setenv("ARW_MEMORY_BUDGET_MB", "1")
     summary = nodal.analyze(sample, M)
     assert (summary.M, summary.refinement_levels) == (M, 0)
-    margins = nodal.stability_margins(
-        sample, field.eval_grid(sample, M), nodal.gradient_norm_grid(sample, M)
-    )
+    value = field.eval_grid(sample, M)
+    margins = nodal.stability_margins(sample, value, nodal.gradient_norm_grid(sample, M))
     assert (summary.alpha, summary.beta, summary.mu) == (margins.alpha, margins.beta, margins.mu)
-    single = nodal.analyze(sample, M, refine_check=False)
-    assert (summary.k, summary.r, summary.certified) == (single.k, single.r, single.certified)
+    # the M grid alone: counts of a direct synthesis, certified only by the
+    # analytic margin test because no doubling was checked
+    sg = nodal.sign_grid(value)
+    r, _, _ = nodal.count_domains(sg)
+    k, *_ = nodal.count_components(sg)
+    assert (summary.k, summary.r) == (k, r)
+    assert summary.certified == (r - 1 <= k <= r + 1 and margins.certified)
+
+
+def test_auto_refine_stops_at_budget(monkeypatch):
+    sample = make_sample(2, 25, 13)
+    M = 64
+    # 1 MiB admits 128^2 cells and refuses 256^2: one doubling, never three
+    # equal counts, so only the analytic margin test could certify
+    monkeypatch.setenv("ARW_MEMORY_BUDGET_MB", "1")
+    summary = nodal.analyze(sample, M, auto_refine=True)
+    assert (summary.M, summary.refinement_levels) == (2 * M, 1)
+    assert not summary.sup_certified
+    assert not summary.certified
 
 
 @pytest.mark.parametrize("d, n, M", [(2, 1105, 544), (3, 17, 80)])
@@ -319,9 +335,9 @@ def test_analyze_auto_refine_stabilizes():
 def test_translation_equivariance():
     sample = make_sample(2, 25, 31)
     M = 32
-    base = nodal.analyze(sample, M, refine_check=False)
-    moved = nodal.analyze(field.translate(sample, np.array([5 / M, 11 / M])), M, refine_check=False)
-    assert (base.k, base.r) == (moved.k, moved.r)
+    base = nodal.analyze(sample, M)
+    moved = nodal.analyze(field.translate(sample, np.array([5 / M, 11 / M])), M)
+    assert (base.k, base.r, base.certified) == (moved.k, moved.r, moved.certified)
     assert np.allclose(np.sort(base.domain_volumes), np.sort(moved.domain_volumes), atol=0)
     assert np.allclose(
         np.sort(base.component_diameters), np.sort(moved.component_diameters), atol=1e-12
@@ -331,8 +347,8 @@ def test_translation_equivariance():
 def test_sign_flip_symmetry():
     sample = make_sample(2, 25, 13)
     flipped = field.sample_from_arrays(sample.shell, -np.asarray(sample.a), -np.asarray(sample.b))
-    a = nodal.analyze(sample, 32, refine_check=False)
-    b = nodal.analyze(flipped, 32, refine_check=False)
+    a = nodal.analyze(sample, 32)
+    b = nodal.analyze(flipped, 32)
     assert (a.k, a.r) == (b.k, b.r)
     assert np.allclose(np.sort(a.domain_volumes), np.sort(b.domain_volumes), atol=0)
 
