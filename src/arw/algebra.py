@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import DegreeTooSmall, ExpansionBudgetExceeded, IdentityFailure
+from .errors import DegreeTooSmall, ExpansionBudgetExceeded, IdentityFailure, ValidationError
 
 Coeff = Union[Fraction, int, float]
 
@@ -175,7 +175,7 @@ def chebyshev_pair(D: int) -> tuple[AlgPoly, AlgPoly]:
     """(C_D, S_D): algebraizations of cos(2 pi D x) and sin(2 pi D x) in the
     two variables (c, s), by the angle-addition recurrence."""
     if D < 0:
-        raise ValueError("D must be >= 0")
+        raise ValidationError("D must be >= 0")
     c = AlgPoly.variable(2, 0)
     s = AlgPoly.variable(2, 1)
     C = AlgPoly.constant(2, Fraction(1))
@@ -382,6 +382,8 @@ def gradient_system_jacobian(T: TrigPoly, budget: int = 10**6) -> tuple[AlgPoly,
 
 def example_trig_poly(d: int, D: int, A: Coeff) -> TrigPoly:
     """sum_j sin(2 pi D x_j) + A: the fully regular workhorse example."""
+    if d < 1 or D < 1:
+        raise ValidationError(f"example_trig_poly needs d >= 1 and D >= 1, got d={d}, D={D}")
     raw: dict[tuple[int, ...], tuple[Coeff, Coeff]] = {(0,) * d: (A, 0)}
     for j in range(d):
         lam = [0] * d
@@ -444,7 +446,7 @@ def verify_csd_identities(D_max: int) -> CsdReport:
     Raises IdentityFailure on any mismatch (which would be a bug).
     """
     if D_max < 1:
-        raise ValueError("D_max must be >= 1")
+        raise ValidationError("D_max must be >= 1")
     c = AlgPoly.variable(2, 0)
     s = AlgPoly.variable(2, 1)
     circle = c * c + s * s

@@ -66,6 +66,8 @@ class ExperimentConfig:
             raise ValidationError("experiment.trials must be >= 1")
         if self.parallelism < 1:
             raise ValidationError("experiment.parallelism must be >= 1")
+        if self.master_seed < 0:
+            raise ValidationError("experiment.master_seed must be >= 0")
         if self.memory_budget_mb < 0:
             raise ValidationError("experiment.memory_budget_mb must be >= 0")
         MPolicy.parse(self.m_policy)  # raises ValidationError if malformed

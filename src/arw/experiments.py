@@ -3,10 +3,11 @@ config-driven experiment run that writes the trials CSV, the JSON report
 and the plot-data series.
 
 Each trial is a pure function of (master_seed, trial_index), so runs are
-reproducible at any parallelism.  Statistics are computed over certified
-trials only, with the uncertified fraction reported alongside; grid counts
-from uncertified trials would pollute the estimates the concentration
-statements are about.
+reproducible at any parallelism.  The fields of `TrialRecord` are the
+trials-CSV columns, in order, apart from `error`.  Statistics are computed
+over certified trials only, with the uncertified fraction reported
+alongside; grid counts from uncertified trials would pollute the estimates
+the concentration statements are about.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,23 +29,6 @@ from .errors import ArwError, InsufficientTrials, MemoryBudgetExceeded, Validati
 from .field import min_alias_free_M, sample_coefficients
 from .lattice import admissible_sequence, enumerate_shell
 from .nodal import analyze
-
-CSV_COLUMNS = (
-    "trial_index",
-    "seed",
-    "d",
-    "n",
-    "dim_HL",
-    "M",
-    "k",
-    "r",
-    "min_domain_vol",
-    "sum_diameters",
-    "alpha",
-    "beta",
-    "certified",
-    "wall_time_ms",
-)
 
 # d=2 products of primes 1 mod 4 (5, 5*13, 5^2*13, 5*13*17): shell sizes
 # 8, 16, 24, 32 grow while L stays moderate.  Admissibility is a measured
@@ -95,8 +80,13 @@ class MPolicy:
         return self.kind == "auto_refine"
 
 
+_NOT_IN_CSV = {"csv": False}  # field metadata; every other field is a CSV column
+
+
 @dataclass(frozen=True)
 class TrialRecord:
+    """One trial; each field but `error` is the CSV column of the same name."""
+
     trial_index: int
     seed: int
     d: int
@@ -111,7 +101,7 @@ class TrialRecord:
     beta: float
     certified: bool
     wall_time_ms: float
-    error: str = ""  # flagged failures; not part of the CSV contract
+    error: str = field(default="", metadata=_NOT_IN_CSV)  # why the trial was not measured
 
     @property
     def scaled_count(self) -> float:
@@ -119,9 +109,15 @@ class TrialRecord:
         return self.k / float(self.n) ** (self.d / 2.0)
 
 
+_CSV_FIELDS = [f for f in fields(TrialRecord) if f.metadata.get("csv", True)]
+CSV_COLUMNS = tuple(f.name for f in _CSV_FIELDS)
+# field annotation -> parser of the text `_fmt` writes
+_PARSERS = {"int": int, "float": float, "bool": lambda text: text == "true"}
+
+
 def run_trial(d: int, n: int, m_policy: MPolicy, master_seed: int, trial_index: int) -> TrialRecord:
     """One trial: sample, analyze, summarize.  Memory failures are flagged
-    in the record instead of raised."""
+    in the record (zero counts and `error`) instead of raised."""
     t0 = time.perf_counter()
     shell = enumerate_shell(d, n)
     sample = sample_coefficients(shell, master_seed, trial_index)
@@ -129,44 +125,28 @@ def run_trial(d: int, n: int, m_policy: MPolicy, master_seed: int, trial_index: 
     try:
         summary = analyze(sample, M, auto_refine=m_policy.auto_refine)
     except MemoryBudgetExceeded as exc:
-        return TrialRecord(
-            trial_index=trial_index,
-            seed=master_seed,
-            d=d,
-            n=n,
-            dim_HL=shell.dim_HL,
-            M=M,
-            k=0,
-            r=0,
-            min_domain_vol=0.0,
-            sum_diameters=0.0,
-            alpha=0.0,
-            beta=0.0,
-            certified=False,
-            wall_time_ms=(time.perf_counter() - t0) * 1e3,
-            error=f"MemoryBudgetExceeded: {exc}",
+        measured = dict(M=M, k=0, r=0, min_domain_vol=0.0, sum_diameters=0.0, alpha=0.0,
+                        beta=0.0, certified=False, error=f"MemoryBudgetExceeded: {exc}")
+    else:
+        measured = dict(
+            M=summary.M,
+            k=summary.k,
+            r=summary.r,
+            min_domain_vol=float(np.min(summary.domain_volumes)) if summary.r else 0.0,
+            sum_diameters=float(np.sum(summary.component_diameters)),
+            alpha=summary.alpha,
+            beta=summary.beta,
+            certified=summary.certified,
         )
-    min_vol = float(np.min(summary.domain_volumes)) if summary.r else 0.0
     return TrialRecord(
         trial_index=trial_index,
         seed=master_seed,
         d=d,
         n=n,
         dim_HL=shell.dim_HL,
-        M=summary.M,
-        k=summary.k,
-        r=summary.r,
-        min_domain_vol=min_vol,
-        sum_diameters=float(np.sum(summary.component_diameters)),
-        alpha=summary.alpha,
-        beta=summary.beta,
-        certified=summary.certified,
         wall_time_ms=(time.perf_counter() - t0) * 1e3,
+        **measured,
     )
-
-
-def _run_trial_args(args) -> TrialRecord:
-    return run_trial(*args)
 
 
 def run_trials(
@@ -177,18 +157,16 @@ def run_trials(
     master_seed: int,
     parallelism: int = 1,
 ) -> list[TrialRecord]:
-    """Run `trials` independent trials; records are identical at any
-    parallelism (wall times aside) because trial t draws from the
-    (master_seed, t) stream."""
+    """Run `trials` independent trials, in trial order; records are
+    identical at any parallelism (wall times aside) because trial t draws
+    from the (master_seed, t) stream."""
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    jobs = [(d, n, m_policy, master_seed, t) for t in range(trials)]
+    args = (repeat(d), repeat(n), repeat(m_policy), repeat(master_seed), range(trials))
     if parallelism <= 1:
-        return [run_trial(*job) for job in jobs]
+        return list(map(run_trial, *args))
     with ProcessPoolExecutor(max_workers=parallelism) as pool:
-        records = list(pool.map(_run_trial_args, jobs, chunksize=max(1, trials // (4 * parallelism))))
-    records.sort(key=lambda rec: rec.trial_index)
-    return records
+        return list(pool.map(run_trial, *args, chunksize=max(1, trials // (4 * parallelism))))
 
 
 def _fmt(value) -> str:
@@ -208,29 +186,11 @@ def write_trials_csv(path: str, records: Sequence[TrialRecord]) -> None:
 
 
 def read_trials_csv(path: str) -> list[TrialRecord]:
-    out = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            out.append(
-                TrialRecord(
-                    trial_index=int(row["trial_index"]),
-                    seed=int(row["seed"]),
-                    d=int(row["d"]),
-                    n=int(row["n"]),
-                    dim_HL=int(row["dim_HL"]),
-                    M=int(row["M"]),
-                    k=int(row["k"]),
-                    r=int(row["r"]),
-                    min_domain_vol=float(row["min_domain_vol"]),
-                    sum_diameters=float(row["sum_diameters"]),
-                    alpha=float(row["alpha"]),
-                    beta=float(row["beta"]),
-                    certified=row["certified"] == "true",
-                    wall_time_ms=float(row["wall_time_ms"]),
-                )
-            )
-    return out
+        return [
+            TrialRecord(**{f.name: _PARSERS[f.type](row[f.name]) for f in _CSV_FIELDS})
+            for row in csv.DictReader(fh)
+        ]
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ sign for domains, one sparse connected-components pass over mixed-cell
 nodes for the zero set) and then hand them to one kernel,
 `_merge_patches`.  It merges patches across the periodic seams and the
 d=2 saddle diagonals with an offset-tracking union-find (Newman & Ziff,
-2001), which lifts each component to Z^d coordinates (for bounding-box
-diameters) and detects components that wind around the torus
-(inconsistent lift).
+2001), which lifts each patch to Z^d coordinates and detects components
+that wind around the torus (inconsistent lift).  `count_components`
+lifts its patches' bounding boxes to get component diameters.
 
 Counting on a grid is a discretization heuristic: two features closer than
 one cell can merge.  The `certified` flag combines a conservative
@@ -134,28 +134,30 @@ class PeriodicLabeling:
 
     `labels` assigns 1-based component ids in order of first raster-scan
     occurrence (0 = background), so labeling is independent of visitation
-    order.  `cells[c]` counts the component's nodes, `widths[c]` is its
-    lifted bounding-box extent in cells per axis; `wraps[c]` marks
-    components with no consistent lift.
+    order.  `cells[c]` counts the component's nodes and `wraps[c]` marks
+    components with no consistent lift.  Per in-grid patch p, `comp[p]`
+    is its 0-based component and `lift[p]` its offset in Z^d from the
+    component's root patch.
     """
 
     count: int
     labels: np.ndarray = field(repr=False)
     cells: np.ndarray = field(repr=False)
-    widths: np.ndarray = field(repr=False)
     wraps: np.ndarray = field(repr=False)
+    comp: np.ndarray = field(repr=False)
+    lift: np.ndarray = field(repr=False)
 
 
-def _merge_patches(patch_labels, first, cells, lo, hi, links) -> PeriodicLabeling:
+def _merge_patches(patch_labels, first, cells, links) -> PeriodicLabeling:
     """Merge in-grid patches into periodic components (Newman & Ziff, 2001).
 
     Patches are numbered from 0; `patch_labels` holds patch + 1 at each
-    grid site (0 = none).  Per patch, `first` is its first raster key,
-    `cells` its node count and [lo, hi) its in-grid bounding box.  `links`
-    lists array triples (pa, pb, rel) declaring lift(pb) = lift(pa) + rel
-    across seams and saddles.  Components are ordered by smallest first key.
+    grid site (0 = none).  Per patch, `first` is its first raster key and
+    `cells` its node count.  `links` lists array triples (pa, pb, rel)
+    declaring lift(pb) = lift(pa) + rel across seams and saddles.
+    Components are ordered by smallest first key.
     """
-    npatch, d = lo.shape
+    npatch, d = len(cells), patch_labels.ndim
     rows = np.column_stack([np.concatenate(part) for part in zip(*links)])
     rows = rows[np.lexsort(rows.T)]  # dedupe; np.unique(axis=0) is several times slower
     keep = np.ones(len(rows), dtype=bool)
@@ -176,10 +178,6 @@ def _merge_patches(patch_labels, first, cells, lo, hi, links) -> PeriodicLabelin
     comp = np.argsort(np.argsort(key))[comp]
 
     comp_cells = np.bincount(comp, weights=cells, minlength=count).astype(np.int64)
-    comp_lo = np.full((count, d), np.iinfo(np.int64).max)
-    comp_hi = np.full((count, d), np.iinfo(np.int64).min)
-    np.minimum.at(comp_lo, comp, lo + offset)
-    np.maximum.at(comp_hi, comp, hi + offset)
     wraps = np.zeros(count, dtype=bool)
     wraps[comp[list(uf.wrapped)]] = True
     table = np.zeros(npatch + 1, dtype=np.int32)
@@ -188,8 +186,9 @@ def _merge_patches(patch_labels, first, cells, lo, hi, links) -> PeriodicLabelin
         count=count,
         labels=table[patch_labels],
         cells=comp_cells,
-        widths=comp_hi - comp_lo,
         wraps=wraps,
+        comp=comp,
+        lift=offset,
     )
 
 
@@ -212,13 +211,10 @@ def count_domains(sg: SignGrid) -> tuple[int, np.ndarray, np.ndarray]:
     d, M = sg.d, sg.M
     structure = ndimage.generate_binary_structure(d, 1)
     pos, npos = ndimage.label(sg.signs, structure=structure)
-    neg, _ = ndimage.label(~sg.signs, structure=structure)
-    boxes = ndimage.find_objects(pos) + ndimage.find_objects(neg)
+    neg, nneg = ndimage.label(~sg.signs, structure=structure)
     first = np.concatenate([_first_sites(pos), _first_sites(neg)])
     patches = np.where(sg.signs, pos, neg + npos)
-    cells = np.bincount(patches.ravel(), minlength=len(boxes) + 1)[1:]
-    lo = np.array([[s.start for s in box] for box in boxes], dtype=np.int64)
-    hi = np.array([[s.stop for s in box] for box in boxes], dtype=np.int64)
+    cells = np.bincount(patches.ravel(), minlength=npos + nneg + 1)[1:]
 
     links = []
     for axis in range(d):
@@ -238,7 +234,7 @@ def count_domains(sg: SignGrid) -> tuple[int, np.ndarray, np.ndarray]:
                 patches[tuple((ub % M).T)] - 1,
                 M * (ub // M - ua // M),  # seams crossed from ua to ub
             ))
-    lab = _merge_patches(patches, first, cells, lo, hi, links)
+    lab = _merge_patches(patches, first, cells, links)
     volumes = lab.cells.astype(float) / float(M**d)
     return lab.count, volumes, lab.labels
 
@@ -321,9 +317,14 @@ def count_components(
     np.put(patch_labels, sites, patch_of_node[: len(sites)] + 1)
     links = [(patch_of_node[a], patch_of_node[b], rel) for a, b, rel in seam]
 
-    lab = _merge_patches(patch_labels, first, cells, lo.T, hi.T, links)
+    lab = _merge_patches(patch_labels, first, cells, links)
+    # lift each patch's in-grid box [lo, hi) into its component's frame
+    comp_lo = np.full((lab.count, d), np.iinfo(np.int64).max)
+    comp_hi = np.full((lab.count, d), np.iinfo(np.int64).min)
+    np.minimum.at(comp_lo, lab.comp, lo.T + lab.lift)
+    np.maximum.at(comp_hi, lab.comp, hi.T + lab.lift)
     h = 1.0 / M
-    diameters = h * np.sqrt(np.sum(lab.widths.astype(float) ** 2, axis=1))
+    diameters = h * np.sqrt(np.sum((comp_hi - comp_lo).astype(float) ** 2, axis=1))
     diameters[lab.wraps] = 0.5
     return lab.count, lab.cells, diameters, lab.wraps, lab.labels
 
@@ -454,8 +455,11 @@ def analyze(sample: WaveSample, M: int, auto_refine: bool = False) -> NodalSumma
     counts satisfy the consistency gate r - 1 <= k <= r + d - 1, and the
     counts are stable under refinement: unchanged over the last two
     doublings with `auto_refine`, otherwise moved by at most
-    max(1, _DRIFT_TOLERANCE * count) across the one doubling.  Degenerate
-    fields yield certified=False, never an error.
+    max(1, _DRIFT_TOLERANCE * count) across the one doubling.  The gate
+    constrains only d >= 3: in d=2 the counts always satisfy
+    r = k + 1 - [some component wraps] (Jordan curves on the torus), so
+    there certification rests on the margin and the drift test.
+    Degenerate fields yield certified=False, never an error.
     """
     history = []
     try:

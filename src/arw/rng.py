@@ -12,15 +12,20 @@ from __future__ import annotations
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
+from .errors import ValidationError
+
 
 def stream(master_seed: int, *key_path: int) -> Generator:
     """Return the generator for the given master seed and key path.
 
     `key_path` is typically `(trial_index,)`; nested experiments may use
     longer paths.  Philox is counter-based, so independent streams are
-    cheap and reproducible.
+    cheap and reproducible.  Seeds and keys are nonnegative integers.
     """
-    seq = SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(k) for k in key_path))
+    keys = tuple(int(k) for k in key_path)
+    if int(master_seed) < 0 or min(keys, default=0) < 0:
+        raise ValidationError(f"seeds and trial indices must be >= 0 (seed {master_seed}, keys {keys})")
+    seq = SeedSequence(entropy=int(master_seed), spawn_key=keys)
     return Generator(Philox(seq))
 
 

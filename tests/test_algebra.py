@@ -20,7 +20,7 @@ from arw.algebra import (
     homogenize,
     verify_csd_identities,
 )
-from arw.errors import DegreeTooSmall, ExpansionBudgetExceeded
+from arw.errors import DegreeTooSmall, ExpansionBudgetExceeded, ValidationError
 
 
 def poly2(terms):
@@ -37,6 +37,18 @@ def test_chebyshev_low_degrees():
     C3, S3 = chebyshev_pair(3)
     assert C3 == poly2({(3, 0): 1, (1, 2): -3})
     assert S3 == poly2({(2, 1): 3, (0, 3): -1})
+
+
+def test_bad_arguments_raise_validation_error():
+    calls = [
+        lambda: chebyshev_pair(-1),
+        lambda: verify_csd_identities(0),
+        lambda: example_trig_poly(0, 2, 1),
+        lambda: example_trig_poly(2, 0, 3),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError):
+            call()
 
 
 def test_chebyshev_integer_coeffs_and_base_point():

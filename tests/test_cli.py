@@ -68,6 +68,17 @@ def test_sample_and_count_roundtrip(tmp_path, capsys):
     assert set(payload) >= {"k", "r", "alpha", "beta", "certified", "refinement_levels"}
 
 
+def test_sample_rejects_negative_seed_or_trial(tmp_path, capsys):
+    out = tmp_path / "field.bin"
+    for seed, trial in (("-3", "0"), ("3", "-1")):
+        assert run_cli(
+            "sample", "--dim", "2", "--n", "25", "--seed", seed, "--trial", trial,
+            "--grid", "16", "--out", str(out),
+        ) == 2
+        assert "must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_count_rejects_tampered_grid(tmp_path, capsys):
     out = tmp_path / "field.bin"
     run_cli("sample", "--dim", "2", "--n", "25", "--seed", "5", "--trial", "0",
@@ -122,6 +133,14 @@ def test_algebra_command(capsys):
     assert payload["passed"] is True
     assert payload["identities"]["d_max"] == 6
     assert payload["jacobian_example"]["passed"] is True
+
+
+def test_algebra_command_rejects_bad_arguments(capsys):
+    assert run_cli("algebra", "--verify-identities", "--dmax", "0") == 2
+    assert "D_max must be >= 1" in capsys.readouterr().err
+    for d, D in (("0", "2"), ("2", "-1"), ("2", "0")):
+        assert run_cli("algebra", "--jacobian-example", d, D) == 2
+        assert "needs d >= 1 and D >= 1" in capsys.readouterr().err
 
 
 def test_config_canonicalization_idempotent(tmp_path):
@@ -242,8 +261,12 @@ def test_malformed_memory_budget_exit_code(tmp_path, monkeypatch, capsys):
         ("m_policy = per_L:-4", "must be >= 1"),
         ("m_policy = fixed:0", "must be >= 1"),
         ("n_values = 5,7", "n_values [7] are not sums of 2 squares"),
+        ("master_seed = -1", "master_seed must be >= 0"),
     ],
-    ids=["n_zero", "n_repeated", "epsilon_nan", "per_L_negative", "fixed_zero", "n_empty_shell"],
+    ids=[
+        "n_zero", "n_repeated", "epsilon_nan", "per_L_negative", "fixed_zero", "n_empty_shell",
+        "seed_negative",
+    ],
 )
 def test_experiment_rejects_bad_config_values(tmp_path, capsys, line, message):
     key = line.split(" = ")[0]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -53,6 +54,7 @@ def test_run_trials_parallelism_determinism():
     policy = MPolicy.parse("per_L:16")
     seq = run_trials(2, 25, 8, policy, 2024, parallelism=1)
     par = run_trials(2, 25, 8, policy, 2024, parallelism=2)
+    assert [rec.trial_index for rec in par] == list(range(8))  # pool.map keeps job order
     for a, b in zip(seq, par):
         assert (a.trial_index, a.k, a.r, a.certified) == (b.trial_index, b.k, b.r, b.certified)
         assert a.min_domain_vol == b.min_domain_vol
@@ -66,24 +68,26 @@ def test_run_trials_flags_memory_errors(monkeypatch):
     assert len(records) == 1
     assert records[0].error.startswith("MemoryBudgetExceeded")
     assert not records[0].certified
+    assert (records[0].M, records[0].k, records[0].r) == (4096, 0, 0)
 
 
 def test_csv_roundtrip(tmp_path):
     records = run_trials(2, 25, 4, MPolicy.parse("per_L:16"), 7, parallelism=1)
+    records.append(synthetic_record(65, 3, certified=False, trial=4))
+    records.append(dataclasses.replace(synthetic_record(65, 0, certified=False, trial=5),
+                                       error="MemoryBudgetExceeded: refused"))
     path = tmp_path / "trials.csv"
     write_trials_csv(str(path), records)
     header = path.read_text().splitlines()[0]
     assert header == ",".join(experiments.CSV_COLUMNS)
+    assert experiments.CSV_COLUMNS == (
+        "trial_index", "seed", "d", "n", "dim_HL", "M", "k", "r", "min_domain_vol",
+        "sum_diameters", "alpha", "beta", "certified", "wall_time_ms",
+    )
+    # every field but `error` round-trips: repr is exact for floats, bools
+    # are true/false
     back = read_trials_csv(str(path))
-    for a, b in zip(records, back):
-        assert (a.trial_index, a.k, a.r, a.n, a.certified) == (
-            b.trial_index,
-            b.k,
-            b.r,
-            b.n,
-            b.certified,
-        )
-        assert a.min_domain_vol == b.min_domain_vol  # repr round-trips floats
+    assert back == [dataclasses.replace(rec, error="") for rec in records]
 
 
 def test_csv_deterministic_across_parallelism(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from arw import field, gridio, lattice
 from arw.errors import AliasError, DegenerateIntegral, MemoryBudgetExceeded, ValidationError
+from arw.rng import stream
 
 from oracles import chi_square_tail_bound, mc_sphere_cosine_average
 
@@ -118,6 +119,9 @@ def test_bad_arguments_raise_validation_error(shell_2_25):
         lambda: field.limiting_kernel(1, [0.5]),
         lambda: field.parseval_norm(sample, field.eval_grid(sample, 16, (0,))),
         lambda: field.local_bound_ratio(sample, [0.0, 0.0], 0.0),
+        lambda: field.sample_coefficients(shell_2_25, -1, 0),
+        lambda: field.sample_coefficients(shell_2_25, 1, -1),
+        lambda: stream(1, 0, -2),
     ]
     for call in calls:
         with pytest.raises(ValidationError):

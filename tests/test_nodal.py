@@ -166,6 +166,38 @@ def test_d3_blob_across_seam_and_wrapping_slab():
     assert wraps.all() and np.all(diams == 0.5)
 
 
+def test_d2_sampled_grids_without_saddles_match_nd_oracles():
+    # with no checkerboard cell, d=2 counting is plain face adjacency, so
+    # the any-d oracles also pin labels, wraps and lifted widths on real fields
+    for n, M in ((25, 96), (65, 144)):
+        checked = 0
+        for trial in range(20):
+            sg = nodal.sign_grid(field.eval_grid(make_sample(2, n, 4242, trial=trial), M))
+            if any(split.any() for split in sg.saddles):
+                continue
+            assert_matches_nd_oracles(sg)
+            checked += 1
+            if checked == 3:
+                break
+        assert checked == 3
+
+
+def test_d2_torus_identity_random_grids():
+    # Jordan curves on T^2: a contractible closed curve adds one region, and
+    # m >= 1 disjoint essential curves cut the torus into m annuli, so
+    # r = k + 1 - [some component wraps]; in d=2 the gate r-1 <= k <= r+1
+    # can never fail.  Gaussian magnitudes make the center sign, and so the
+    # saddle split, vary.
+    rng = np.random.default_rng(2024)
+    for M in range(1, 18):
+        for _ in range(12):
+            values = rng.standard_normal((M, M))
+            sg = nodal.sign_grid(field.FieldGrid(d=2, n=1, M=M, values=values))
+            r, _, _ = nodal.count_domains(sg)
+            k, _, _, wraps, _ = nodal.count_components(sg)
+            assert r == k + 1 - wraps.any(), (M, k, r)
+
+
 def test_local_components_bounded_by_local_domains():
     # two small blobs inside a ball of radius < 1/2: the components lying
     # in the ball cannot outnumber the domains contained in it (k' <= r')
