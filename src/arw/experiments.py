@@ -3,7 +3,8 @@ config-driven experiment run that writes the trials CSV, the JSON report
 and the plot-data series.
 
 Each trial is a pure function of (master_seed, trial_index), so runs are
-reproducible at any parallelism.  The fields of `TrialRecord` are the
+reproducible at any parallelism, apart from the memory guard: pool
+workers split one budget.  The fields of `TrialRecord` are the
 trials-CSV columns, in order, apart from `error`.  Statistics are computed
 over certified trials only, with the uncertified fraction reported
 alongside; grid counts from uncertified trials would pollute the estimates
@@ -25,6 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import field as field_module
 from .errors import ArwError, InsufficientTrials, MemoryBudgetExceeded, ValidationError
 from .field import min_alias_free_M, sample_coefficients
 from .lattice import admissible_sequence, enumerate_shell
@@ -149,6 +151,11 @@ def run_trial(d: int, n: int, m_policy: MPolicy, master_seed: int, trial_index: 
     )
 
 
+def _share_budget(workers: int) -> None:
+    """Pool initializer: the workers split one memory budget evenly."""
+    field_module._budget_shares = workers
+
+
 def run_trials(
     d: int,
     n: int,
@@ -159,13 +166,15 @@ def run_trials(
 ) -> list[TrialRecord]:
     """Run `trials` independent trials, in trial order; records are
     identical at any parallelism (wall times aside) because trial t draws
-    from the (master_seed, t) stream."""
+    from the (master_seed, t) stream, as long as no worker hits its share
+    of the memory budget (budget / parallelism)."""
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     args = (repeat(d), repeat(n), repeat(m_policy), repeat(master_seed), range(trials))
     if parallelism <= 1:
         return list(map(run_trial, *args))
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    with ProcessPoolExecutor(max_workers=parallelism, initializer=_share_budget,
+                             initargs=(parallelism,)) as pool:
         return list(pool.map(run_trial, *args, chunksize=max(1, trials // (4 * parallelism))))
 
 

@@ -46,19 +46,25 @@ DEFAULT_MEMORY_BUDGET_MB = 512
 ANALYZE_BYTES_PER_CELL = 48
 
 
+# Processes that share the budget evenly; a pool worker of
+# `experiments.run_trials` sets it to the pool's size.
+_budget_shares = 1
+
+
 def memory_budget_bytes() -> int:
-    """The grid memory budget: ARW_MEMORY_BUDGET_MB (a positive integer
-    number of MiB) if set, else 512 MiB."""
+    """This process's grid memory budget: ARW_MEMORY_BUDGET_MB (a positive
+    integer number of MiB) if set, else 512 MiB, split evenly among the
+    processes that share it."""
     mb = os.environ.get("ARW_MEMORY_BUDGET_MB", "")
-    if not mb:
-        return DEFAULT_MEMORY_BUDGET_MB * 2**20
-    try:
-        value = int(mb)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise ValidationError(f"ARW_MEMORY_BUDGET_MB must be a positive integer, got {mb!r}")
-    return value * 2**20
+    value = DEFAULT_MEMORY_BUDGET_MB
+    if mb:
+        try:
+            value = int(mb)
+        except ValueError:
+            value = 0
+        if value <= 0:
+            raise ValidationError(f"ARW_MEMORY_BUDGET_MB must be a positive integer, got {mb!r}")
+    return value * 2**20 // _budget_shares
 
 
 def min_alias_free_M(n: int) -> int:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from operator import add, sub
 
 import numpy as np
 from scipy import ndimage, special
@@ -42,19 +43,18 @@ _DRIFT_TOLERANCE = 0.02
 class SignGrid:
     """Vertex signs of a value grid; exact zeros count as + and are tallied.
 
-    In d=2, `center_plus` carries the sign of the cell-center value of the
-    multilinear interpolant (the corner mean), and `saddles` splits the
-    checkerboard (saddle-straddling) cells by it, once for both counts:
-    `main` cells have v00-v11 matching the center, `anti` cells v10-v01.
-    The matching diagonal links two domain patches, and the cell's zero
-    set becomes the two segments that cut off the corners of the other
-    diagonal.  Both are None in other dimensions.
+    In d=2, `saddles` splits the checkerboard (saddle-straddling) cells,
+    once for both counts, by the sign of the cell-center value of the
+    multilinear interpolant (the corner mean): `main` cells have v00-v11
+    matching the center, `anti` cells v10-v01.  The matching diagonal
+    links two domain patches, and the cell's zero set becomes the two
+    segments that cut off the corners of the other diagonal.  It is None
+    in other dimensions.
     """
 
     d: int
     M: int
     signs: np.ndarray = field(repr=False)  # True where f >= 0
-    center_plus: np.ndarray | None = field(default=None, repr=False)
     saddles: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
     zero_hits: int = 0
 
@@ -63,20 +63,25 @@ def sign_grid(grid: FieldGrid) -> SignGrid:
     if grid.derivative_tag != ():
         raise ValueError("sign_grid expects a value grid")
     values = grid.values
+    if values.shape != (grid.M,) * grid.d:
+        raise ValueError(f"grid of shape {values.shape} declared as M={grid.M}, d={grid.d}")
     if not np.all(np.isfinite(values)):
         raise ValueError("grid contains non-finite values")
     signs = values >= 0.0
     signs.setflags(write=False)
-    center_plus = saddles = None
+    saddles = None
     if grid.d == 2:
-        center = values + np.roll(values, -1, axis=0)
-        center_plus = center + np.roll(center, -1, axis=1) >= 0.0
-        center_plus.setflags(write=False)
         s10 = np.roll(signs, -1, 0)
         s01 = np.roll(signs, -1, 1)
         s11 = np.roll(s10, -1, 1)
         amb = (signs == s11) & (s10 == s01) & (signs != s10)
-        main = amb & (center_plus == signs)
+        # the corner sum, in this association order, only where it decides
+        # (2-D np.nonzero costs ms per call even on sparse masks)
+        i, j = divmod(np.flatnonzero(amb), grid.M)
+        i1, j1 = (i + 1) % grid.M, (j + 1) % grid.M
+        center = (values[i, j] + values[i1, j]) + (values[i, j1] + values[i1, j1])
+        main = np.zeros_like(amb)
+        main[i, j] = (center >= 0.0) == signs[i, j]
         saddles = (main, amb & ~main)
         for split in saddles:
             split.setflags(write=False)
@@ -84,7 +89,6 @@ def sign_grid(grid: FieldGrid) -> SignGrid:
         d=grid.d,
         M=grid.M,
         signs=signs,
-        center_plus=center_plus,
         saddles=saddles,
         zero_hits=int(np.count_nonzero(values == 0.0)),
     )
@@ -93,39 +97,40 @@ def sign_grid(grid: FieldGrid) -> SignGrid:
 class _OffsetUnionFind:
     """Union-find over patches carrying integer lift offsets to the root.
 
-    `lift(x) = lift(parent(x)) + offset[x]`.  A union closing a cycle with
-    a mismatched offset marks its patch as wrapping: the component winds
-    around the torus.
+    `lift(x) = lift(parent(x)) + offset[x]`, with offsets as int tuples.
+    A union closing a cycle with a mismatched offset marks its patch as
+    wrapping: the component winds around the torus.
     """
 
     def __init__(self, count: int, d: int):
         self.parent = list(range(count))
-        self.offset = np.zeros((count, d), dtype=np.int64)
+        self.offset = [(0,) * d] * count
         self.wrapped: set[int] = set()
 
-    def find(self, x: int) -> tuple[int, np.ndarray]:
+    def find(self, x: int) -> tuple[int, tuple[int, ...]]:
         """Root of x and lift(x) - lift(root), compressing the path."""
         path = []
         while self.parent[x] != x:
             path.append(x)
             x = self.parent[x]
-        total = np.zeros(self.offset.shape[1], dtype=np.int64)
+        total = self.offset[x]  # a root's offset stays zero
         for node in reversed(path):
-            total = total + self.offset[node]
+            total = tuple(map(add, total, self.offset[node]))
             self.offset[node] = total
             self.parent[node] = x
         return x, total
 
-    def union(self, x: int, y: int, rel: np.ndarray) -> None:
+    def union(self, x: int, y: int, rel) -> None:
         """Declare lift(y) = lift(x) + rel."""
         rx, ox = self.find(x)
         ry, oy = self.find(y)
+        want = tuple(map(add, ox, rel))
         if rx == ry:
-            if not np.array_equal(oy, ox + rel):
+            if oy != want:
                 self.wrapped.add(rx)
             return
         self.parent[ry] = rx
-        self.offset[ry] = ox + rel - oy
+        self.offset[ry] = tuple(map(sub, want, oy))
 
 
 @dataclass(frozen=True)
@@ -164,12 +169,14 @@ def _merge_patches(patch_labels, first, cells, links) -> PeriodicLabeling:
     keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     rows = rows[keep]
     uf = _OffsetUnionFind(npatch, d)
-    for row in rows:
-        uf.union(int(row[0]), int(row[1]), row[2:])
+    for pa, pb, *rel in rows.tolist():
+        uf.union(pa, pb, rel)
+    linked = np.unique(rows[:, :2])
+    found = [uf.find(p) for p in linked.tolist()]
     root = np.arange(npatch)
+    root[linked] = [r for r, _ in found]
     offset = np.zeros((npatch, d), dtype=np.int64)
-    for p in np.unique(rows[:, :2]):
-        root[p], offset[p] = uf.find(int(p))
+    offset[linked] = np.array([o for _, o in found], dtype=np.int64).reshape(-1, d)
 
     roots, comp = np.unique(root, return_inverse=True)
     count = len(roots)
@@ -192,11 +199,12 @@ def _merge_patches(patch_labels, first, cells, links) -> PeriodicLabeling:
     )
 
 
-def _first_sites(labels: np.ndarray) -> np.ndarray:
-    """Raster index of each label's first site.  scipy numbers labels by
-    first occurrence, so the running maximum steps by one at each."""
+def _first_sites(labels: np.ndarray, count: int) -> np.ndarray:
+    """Raster index of each of labels 1..count's first site.  scipy numbers
+    labels by first occurrence, so the running maximum is sorted and first
+    reaches label l at l's first site."""
     running = np.maximum.accumulate(labels.ravel())
-    return np.flatnonzero(np.diff(running, prepend=0))
+    return np.searchsorted(running, np.arange(1, count + 1, dtype=running.dtype))
 
 
 def count_domains(sg: SignGrid) -> tuple[int, np.ndarray, np.ndarray]:
@@ -212,7 +220,7 @@ def count_domains(sg: SignGrid) -> tuple[int, np.ndarray, np.ndarray]:
     structure = ndimage.generate_binary_structure(d, 1)
     pos, npos = ndimage.label(sg.signs, structure=structure)
     neg, nneg = ndimage.label(~sg.signs, structure=structure)
-    first = np.concatenate([_first_sites(pos), _first_sites(neg)])
+    first = np.concatenate([_first_sites(pos, npos), _first_sites(neg, nneg)])
     patches = np.where(sg.signs, pos, neg + npos)
     cells = np.bincount(patches.ravel(), minlength=npos + nneg + 1)[1:]
 
@@ -227,12 +235,13 @@ def count_domains(sg: SignGrid) -> tuple[int, np.ndarray, np.ndarray]:
     if d == 2:
         main, anti = sg.saddles
         for saddles, da, db in ((main, (0, 0), (1, 1)), (anti, (1, 0), (0, 1))):
-            base = np.argwhere(saddles)
-            ua, ub = base + da, base + db
+            base = np.unravel_index(np.flatnonzero(saddles), saddles.shape)
+            ua = [c + o for c, o in zip(base, da)]
+            ub = [c + o for c, o in zip(base, db)]
             links.append((
-                patches[tuple((ua % M).T)] - 1,
-                patches[tuple((ub % M).T)] - 1,
-                M * (ub // M - ua // M),  # seams crossed from ua to ub
+                patches[tuple(c % M for c in ua)] - 1,
+                patches[tuple(c % M for c in ub)] - 1,
+                M * np.column_stack([b // M - a // M for a, b in zip(ua, ub)]),  # seams crossed
             ))
     lab = _merge_patches(patches, first, cells, links)
     volumes = lab.cells.astype(float) / float(M**d)

@@ -49,25 +49,26 @@ def _cell_faces(signs: np.ndarray, i: int, j: int) -> dict[str, bool]:
     }
 
 
-def _cell_segments(signs: np.ndarray, center_plus: np.ndarray, i: int, j: int):
-    """Zero-curve segments of one cell as lists of incident face names."""
+def _cell_segments(signs: np.ndarray, main: np.ndarray, i: int, j: int):
+    """Zero-curve segments of one cell as lists of incident face names.
+    `main` marks the checkerboard cells whose center sign matches s00."""
     faces = _cell_faces(signs, i, j)
     if not faces["mixed"]:
         return []
     if not faces["amb"]:
         return [[name for name in ("E", "W", "N", "S") if faces[name]]]
-    if center_plus[i, j] == faces["s00"]:
+    if main[i, j]:
         return [["S", "E"], ["W", "N"]]
     return [["W", "S"], ["E", "N"]]
 
 
-def flood_fill_components(signs: np.ndarray, center_plus: np.ndarray) -> int:
+def flood_fill_components(signs: np.ndarray, main: np.ndarray) -> int:
     """Number of zero-set components: BFS on marching-squares segments."""
     M0, M1 = signs.shape
     segments: dict[tuple[int, int], list[list[str]]] = {}
     for i in range(M0):
         for j in range(M1):
-            segs = _cell_segments(signs, center_plus, i, j)
+            segs = _cell_segments(signs, main, i, j)
             if segs:
                 segments[(i, j)] = segs
 
@@ -103,9 +104,10 @@ def flood_fill_components(signs: np.ndarray, center_plus: np.ndarray) -> int:
     return count
 
 
-def flood_fill_domains(signs: np.ndarray, center_plus: np.ndarray) -> int:
+def flood_fill_domains(signs: np.ndarray, main: np.ndarray) -> int:
     """Number of same-sign regions: BFS over vertices with face adjacency,
-    periodic wrap, and the diagonal saddle links matching the center sign."""
+    periodic wrap, and the diagonal saddle links matching the center sign
+    (v00-v11 on `main` checkerboard cells, v10-v01 on the others)."""
     M0, M1 = signs.shape
     diagonals: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for i in range(M0):
@@ -113,7 +115,7 @@ def flood_fill_domains(signs: np.ndarray, center_plus: np.ndarray) -> int:
             faces = _cell_faces(signs, i, j)
             if not faces["amb"]:
                 continue
-            if center_plus[i, j] == faces["s00"]:
+            if main[i, j]:
                 a, b = (i, j), ((i + 1) % M0, (j + 1) % M1)
             else:
                 a, b = ((i + 1) % M0, j), (i, (j + 1) % M1)

@@ -293,6 +293,23 @@ def test_experiment_memory_guard_exit_code(tmp_path, capsys):
     assert json.loads((tmp_path / "r.json").read_text())["errors"] == 6
 
 
+def test_parallel_workers_share_memory_budget(tmp_path, capsys):
+    # 1 MiB admits a 128^2 grid (48 B/cell) but not its 256^2 refinement, so
+    # each trial falls back to M = 128; two workers get 0.5 MiB each, which
+    # does not admit 128^2
+    text = MINIMAL_CONFIG.format(csv=tmp_path / "t.csv", report=tmp_path / "r.json")
+    text = text.replace("m_policy = per_L:16", "m_policy = fixed:128\nmemory_budget_mb = 1")
+    config = tmp_path / "run.ini"
+    config.write_text(text)
+    assert run_cli("experiment", "--config", str(config)) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["errors"] == 0
+    config.write_text(text.replace("master_seed = 11", "master_seed = 11\nparallelism = 2"))
+    assert run_cli("experiment", "--config", str(config)) == 1
+    assert "2 of 2 trials hit the memory guard" in capsys.readouterr().err
+    assert len((tmp_path / "t.csv").read_text().splitlines()) == 1 + 2
+    assert json.loads((tmp_path / "r.json").read_text())["errors"] == 2
+
+
 def test_experiment_unknown_key_exit_code(tmp_path, capsys):
     config = tmp_path / "bad.ini"
     config.write_text("[experiment]\nd = 2\nbogus = 1\n")

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from arw import field, lattice, nodal
 from arw.errors import PerturbationTooLarge, Uncertified
@@ -121,8 +122,8 @@ def test_flood_fill_oracle_small_grids():
             sg = nodal.sign_grid(field.eval_grid(sample, 32))
             r, _, _ = nodal.count_domains(sg)
             k, *_ = nodal.count_components(sg)
-            assert r == flood_fill_domains(sg.signs, sg.center_plus)
-            assert k == flood_fill_components(sg.signs, sg.center_plus)
+            assert r == flood_fill_domains(sg.signs, sg.saddles[0])
+            assert k == flood_fill_components(sg.signs, sg.saddles[0])
 
 
 def assert_matches_nd_oracles(sg):
@@ -237,6 +238,75 @@ def test_checkerboard_saddle_resolution():
     # two isolated minus vertices, each with its own boundary curve
     assert r == 3
     assert k == 2
+
+
+def test_sign_grid_rejects_wrong_shape():
+    grid = field.FieldGrid(d=2, n=1, M=2, values=np.ones((2, 3)))
+    with pytest.raises(ValueError, match="shape"):
+        nodal.sign_grid(grid)
+    with pytest.raises(ValueError, match="shape"):
+        nodal.sign_grid(field.FieldGrid(d=3, n=1, M=4, values=np.ones((4, 4))))
+
+
+def test_sign_grid_saddle_split_matches_corner_mean():
+    # reference: the full-grid corner sum, in the same association order
+    rng = np.random.default_rng(99)
+    split_cells = 0
+    for M in (1, 2, 3, 5, 8, 13, 21):
+        for trial in range(10):
+            # small integers make corner sums exactly zero; zeros count as +
+            values = rng.integers(-2, 3, size=(M, M)).astype(float)
+            if trial % 2:
+                values *= rng.standard_normal((M, M))
+            sg = nodal.sign_grid(field.FieldGrid(d=2, n=1, M=M, values=values))
+            signs = values >= 0.0
+            s10 = np.roll(signs, -1, 0)
+            s11 = np.roll(s10, -1, 1)
+            amb = (signs == s11) & (s10 == np.roll(signs, -1, 1)) & (signs != s10)
+            center = values + np.roll(values, -1, axis=0)
+            center_plus = center + np.roll(center, -1, axis=1) >= 0.0
+            main, anti = sg.saddles
+            assert np.array_equal(main, amb & (center_plus == signs))
+            assert np.array_equal(anti, amb & (center_plus != signs))
+            split_cells += int(amb.sum())
+    assert split_cells > 0
+
+
+def test_first_sites_match_unique():
+    rng = np.random.default_rng(5)
+    structure = ndimage.generate_binary_structure(2, 1)
+    masks = [rng.random((M, M)) < p for M in (1, 4, 9, 30) for p in (0.3, 0.5, 0.7)]
+    masks += [np.ones((6, 6), dtype=bool), rng.random((7, 8, 9)) < 0.5]
+    for mask in masks:
+        for side in (mask, ~mask):  # an all-True mask leaves ~mask with no labels
+            labels, count = ndimage.label(side, structure=structure if side.ndim == 2 else None)
+            ids, index = np.unique(labels, return_index=True)
+            expected = index[ids > 0]
+            assert np.array_equal(nodal._first_sites(labels, count), expected)
+
+
+def test_offset_union_find_wraps_and_lifts():
+    M = 8
+    # ring 0 -> 1 -> 2 -> 0 with zero net offset: consistent, no wrap
+    uf = nodal._OffsetUnionFind(3, 2)
+    for a, b, rel in ((0, 1, (3, 0)), (1, 2, (5, -1)), (2, 0, (-8, 1))):
+        uf.union(a, b, rel)
+    assert not uf.wrapped
+    # the same ring closing with net offset M e_0 winds around the torus
+    uf = nodal._OffsetUnionFind(3, 2)
+    for a, b, rel in ((0, 1, (3, 0)), (1, 2, (5, -1)), (2, 0, (0, 1))):
+        uf.union(a, b, rel)
+    assert uf.wrapped == {uf.find(0)[0]}
+    # a chain built out of order: lift differences equal the declared rels
+    links = [(3, 4, (0, M)), (0, 1, (1, 2)), (2, 3, (-M, 0)), (1, 2, (4, -3))]
+    uf = nodal._OffsetUnionFind(5, 2)
+    for a, b, rel in links:
+        uf.union(a, b, rel)
+    assert not uf.wrapped
+    found = [uf.find(p) for p in range(5)]
+    assert len({root for root, _ in found}) == 1
+    for a, b, rel in links:
+        assert tuple(np.subtract(found[b][1], found[a][1])) == rel
 
 
 def test_stability_margins_cosine():
