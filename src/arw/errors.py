@@ -17,16 +17,8 @@ class UnknownPolicy(ArwError):
     """Sequence policy name not recognized."""
 
 
-class AliasError(ArwError):
-    """Grid resolution too small to hold the shell's frequencies alias-free."""
-
-
 class MemoryBudgetExceeded(ArwError):
     """Requested grid would exceed the configured memory budget."""
-
-
-class QuadratureNonConvergence(ArwError):
-    """Quadrature refinement schedule exhausted before reaching tolerance."""
 
 
 class DegenerateIntegral(ArwError):
@@ -66,6 +58,10 @@ class ValidationError(ArwError, ValueError):
 
     Also a ValueError, so callers that guard library calls with
     `except ValueError` keep working."""
+
+
+class AliasError(ValidationError):
+    """Grid resolution too small to hold the shell's frequencies alias-free."""
 
 
 class IoError(ArwError):

@@ -27,13 +27,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import fft as sfft
+from scipy import special
 
 from . import rng
 from .errors import (
     AliasError,
     DegenerateIntegral,
     MemoryBudgetExceeded,
-    QuadratureNonConvergence,
     ValidationError,
 )
 from .lattice import LatticeShell, orthogonality_sums
@@ -314,42 +314,21 @@ def scaled_covariance_matrix(shell: LatticeShell) -> np.ndarray:
     return (4.0 * np.pi**2 / shell.d) * np.eye(shell.d)
 
 
-def _midpoint_refine(f, a: float, b: float, tol: float, start: int = 128, max_panels: int = 2**22):
-    """Midpoint rule with a doubling refinement schedule."""
-    m = start
-    prev = None
-    while m <= max_panels:
-        x = a + (np.arange(m) + 0.5) * ((b - a) / m)
-        val = float(np.sum(f(x)) * ((b - a) / m))
-        if prev is not None and abs(val - prev) <= tol:
-            return val
-        prev = val
-        m *= 2
-    raise QuadratureNonConvergence(f"midpoint rule did not reach tol={tol}")
-
-
 def limiting_kernel(d: int, x) -> float:
     """Average of cos(2*pi*x.zeta) over the unit sphere in R^d.
 
-    Radial; reduced to a 1-D polar integral with weight sin^(d-2) and
-    evaluated by the midpoint refinement schedule at tolerance 1e-8.
+    Radial, with the closed form Gamma(d/2) * (pi*r)^(1-d/2) *
+    J_(d/2-1)(2*pi*r) at r = |x|.  Below 2*pi*r = 1e-8 the series
+    1 - (2*pi*r)^2/(2d) + ... rounds to 1.0; there the closed form's power
+    can overflow while its Bessel factor underflows.
     """
     if d < 2:
         raise ValidationError("d must be >= 2")
     r = float(np.linalg.norm(np.asarray(x, dtype=float)))
-    if r == 0.0:
+    if 2.0 * np.pi * r < 1e-8:
         return 1.0
-    tol = 1e-9
-
-    def weight(theta):
-        return np.sin(theta) ** (d - 2)
-
-    def integrand(theta):
-        return np.cos(2.0 * np.pi * r * np.cos(theta)) * weight(theta)
-
-    num = _midpoint_refine(integrand, 0.0, np.pi, tol)
-    den = _midpoint_refine(weight, 0.0, np.pi, tol)
-    return num / den
+    nu = d / 2.0 - 1.0
+    return float(special.gamma(d / 2.0) * (np.pi * r) ** -nu * special.jv(nu, 2.0 * np.pi * r))
 
 
 def parseval_norm(sample: WaveSample, grid: FieldGrid) -> tuple[float, float]:

@@ -16,6 +16,9 @@ from .field import FieldGrid
 MAGIC = b"ARWG"
 VERSION = 1
 _HEADER = struct.Struct("<4sIIQIQQ")
+# The largest ndarray rank (NPY_MAXDIMS in NumPy 2); a header's d is checked
+# against it before M**d or the reshape can run on it.
+MAX_RANK = 64
 
 
 def write_grid(path: str, grid: FieldGrid) -> None:
@@ -43,8 +46,10 @@ def read_grid(path: str) -> FieldGrid:
             body = fh.read()
     except OSError as exc:
         raise IoError(str(exc)) from exc
-    if d < 1 or M < 1:
-        raise ValidationError(f"{path}: grid needs d >= 1 and M >= 1, got d={d}, M={M}")
+    if d < 1 or M < 1 or d > MAX_RANK:
+        raise ValidationError(
+            f"{path}: grid needs d >= 1 and M >= 1, and d <= {MAX_RANK}, got d={d}, M={M}"
+        )
     expected = M**d * 8
     if len(body) != expected:
         raise IoError(f"{path}: expected {expected} data bytes, got {len(body)}")

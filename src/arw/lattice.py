@@ -14,6 +14,7 @@ comparisons use `fractions.Fraction`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -144,11 +145,17 @@ def _rep_table(k: int, n_max: int) -> np.ndarray:
         table = _square_count_table(size)
     else:
         prev = _rep_table(k - 1, size)
+        # r_k(m + 1) >= 2 * r_(k-1)(m), so past this bound the table overflows
+        if int(prev[:size].max(initial=0)) > INT64_MAX // 2:
+            raise Overflow(f"r_{k}(m) exceeds 64-bit range for some m <= {size}")
         table = prev.copy()  # a = 0 term
         a = 1
         while a * a <= size:
             sq = a * a
             table[sq:] += 2 * prev[: size + 1 - sq]
+            # both addends are nonnegative, so a sum past int64 wraps negative
+            if table[sq:].min() < 0:
+                raise Overflow(f"r_{k}(m) exceeds 64-bit range for some m <= {size}")
             a += 1
     _REP_TABLE_CACHE[k] = table
     return table[: n_max + 1]
@@ -171,8 +178,14 @@ def representation_count(d: int, n: int) -> int:
         r = math.isqrt(n)
         return 2 if r * r == n else 0
     left = _rep_table(h, n)
-    right = _rep_table(d - h, n)
-    total = int(np.dot(left, right[::-1]))
+    right = _rep_table(d - h, n)[::-1]
+    # coordinates lie in [-isqrt(n), isqrt(n)] and the last is fixed up to
+    # sign, so r_d(n) <= 2 (2 isqrt(n) + 1)^(d-1); that also bounds every
+    # partial sum of the dot, whose terms are nonnegative
+    if 2 * (2 * math.isqrt(n) + 1) ** (d - 1) <= INT64_MAX:
+        total = int(np.dot(left, right))
+    else:  # the int64 dot could wrap, so sum in Python integers
+        total = sum(map(operator.mul, left.tolist(), right.tolist()))
     if total > INT64_MAX:
         raise Overflow("representation count exceeds 64-bit range")
     return total
@@ -375,11 +388,18 @@ def admissible_sequence(
 def ball_moment_sweep(d: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Counts and second-moment matrices of every shell up to n_max at once.
 
-    Sweeps the full box [-K, K]^d (K = isqrt(n_max)) in vectorized slabs and
-    buckets each lattice point by its squared norm.  Returns
-    (counts, sums): counts[n] = #shell(n), sums[n] = the d x d matrix of
-    sum(lambda_i * lambda_j) over shell(n).  Exact: every partial sum stays
-    far below 2^53, so float64 accumulation is integer-exact.
+    Writes each point of the ball as (x1, y) with y in the inner block
+    [-K, K]^(d-1), K = isqrt(n_max), so |(x1, y)|^2 = x1^2 + |y|^2.  The
+    inner block's points of norm <= n_max are bucketed once by norm into
+    three tables: their count, sum(y_i) and sum(y_i * y_j).  Each x1 then
+    adds those tables shifted by c = x1^2 and cut off at n_max: the count
+    to counts, c * count to the (0, 0) entry, x1 * sum(y_i) to the (0, i)
+    and (i, 0) entries, and sum(y_i * y_j) to the inner entries.
+
+    Returns (counts, sums): counts[n] = #shell(n), sums[n] = the d x d
+    matrix of sum(lambda_i * lambda_j) over shell(n), both int64.  Exact:
+    every partial sum is an integer below 2^53, so float64 accumulation
+    is integer-exact and the order of summation cannot change a result.
 
     This is how per-shell orthogonality can be audited over ranges where
     enumerating each shell separately would be quadratically wasteful.
@@ -390,39 +410,31 @@ def ball_moment_sweep(d: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     if n_max * representation_count(d, n_max) > 2**52:
         raise Overflow("moment sums too large for exact float64 accumulation")
     K = math.isqrt(n_max)
-    axis = np.arange(-K, K + 1, dtype=np.int64)
-
-    counts = np.zeros(n_max + 1, dtype=np.float64)
-    sums = np.zeros((n_max + 1, d, d), dtype=np.float64)
-
-    # inner block: all but the first coordinate, flattened and sorted by
-    # squared norm so each slab's admissible points are a prefix slice
-    axis32 = axis.astype(np.int32)
-    inner = np.stack(np.meshgrid(*([axis32] * (d - 1)), indexing="ij"), axis=-1).reshape(-1, d - 1)
-    inner_n = np.einsum("ij,ij->i", inner, inner)
-    order = np.argsort(inner_n, kind="stable")
-    inner = inner[order]
-    inner_n = inner_n[order]
-
     nbins = n_max + 1
-    for x1 in axis.tolist():
+
+    axis = np.arange(-K, K + 1, dtype=np.int32)
+    grids = np.meshgrid(*([axis] * (d - 1)), indexing="ij", sparse=True)
+    norms = sum(g * g for g in grids)
+    keep = norms <= n_max
+    inner = [np.broadcast_to(g, norms.shape)[keep] for g in grids]
+    idx = norms[keep]
+    count = np.bincount(idx, minlength=nbins).astype(np.float64)
+    first = np.stack([np.bincount(idx, weights=y, minlength=nbins) for y in inner])
+    second = np.empty((d - 1, d - 1, nbins))
+    for i, yi in enumerate(inner):
+        for j in range(i, d - 1):
+            yy = np.multiply(yi, inner[j], dtype=np.float64)
+            second[i, j] = second[j, i] = np.bincount(idx, weights=yy, minlength=nbins)
+
+    # norm on the last axis, so each shifted add runs over contiguous rows
+    counts = np.zeros(nbins)
+    sums = np.zeros((d, d, nbins))
+    for x1 in range(-K, K + 1):
         c = x1 * x1
-        k = int(np.searchsorted(inner_n, n_max - c, side="right"))
-        if k == 0:
-            continue
-        idx = inner_n[:k].astype(np.int64) + c
-        block = inner[:k]
-        cnt_b = np.bincount(idx, minlength=nbins).astype(np.float64)
-        counts += cnt_b
-        sums[:, 0, 0] += (x1 * x1) * cnt_b
-        for i in range(d - 1):
-            col = block[:, i].astype(np.float64)
-            s_i = np.bincount(idx, weights=col, minlength=nbins)
-            sums[:, 0, i + 1] += x1 * s_i
-            sums[:, i + 1, 0] += x1 * s_i
-            sums[:, i + 1, i + 1] += np.bincount(idx, weights=col * col, minlength=nbins)
-            for j in range(i + 1, d - 1):
-                s_ij = np.bincount(idx, weights=col * block[:, j], minlength=nbins)
-                sums[:, i + 1, j + 1] += s_ij
-                sums[:, j + 1, i + 1] += s_ij
-    return counts.astype(np.int64), sums.astype(np.int64)
+        m = nbins - c
+        counts[c:] += count[:m]
+        sums[0, 0, c:] += c * count[:m]
+        sums[0, 1:, c:] += x1 * first[:, :m]
+        sums[1:, 0, c:] += x1 * first[:, :m]
+        sums[1:, 1:, c:] += second[:, :, :m]
+    return counts.astype(np.int64), sums.transpose(2, 0, 1).astype(np.int64, order="C")

@@ -79,6 +79,14 @@ def test_sample_rejects_negative_seed_or_trial(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_sample_rejects_grid_below_alias_floor(tmp_path, capsys):
+    out = tmp_path / "field.bin"
+    assert run_cli("sample", "--dim", "2", "--n", "5", "--seed", "1",
+                   "--grid", "4", "--out", str(out)) == 2
+    assert "required for n=5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_count_rejects_tampered_grid(tmp_path, capsys):
     out = tmp_path / "field.bin"
     run_cli("sample", "--dim", "2", "--n", "25", "--seed", "5", "--trial", "0",
@@ -103,9 +111,10 @@ def test_count_rejects_non_finite_values(tmp_path, capsys):
 
 def test_count_rejects_empty_grid_header(tmp_path, capsys):
     out = tmp_path / "field.bin"
-    for d, M in ((0, 16), (2, 0)):
+    # a d past NumPy's largest rank must be refused before M**d is formed
+    for d, M in ((0, 16), (2, 0), (10**7, 3), (4 * 10**9, 2), (65, 1)):
         header = gridio._HEADER.pack(gridio.MAGIC, gridio.VERSION, d, 25, M, 5, 0)
-        out.write_bytes(header + b"\0" * (8 * M**d))
+        out.write_bytes(header + b"\0" * 8)
         assert run_cli("count", "--in", str(out)) == 2
         assert "d >= 1 and M >= 1" in capsys.readouterr().err
 

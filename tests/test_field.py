@@ -192,9 +192,13 @@ def test_scaled_covariance_matrix(shell_2_25):
 
 def test_limiting_kernel_closed_forms():
     assert field.limiting_kernel(3, [0.0, 0.0, 0.0]) == 1.0
+    assert field.limiting_kernel(10, [1e-80] + [0.0] * 9) == 1.0
     for r in (0.2, 0.9, 2.3):
-        sinc = math.sin(2 * math.pi * r) / (2 * math.pi * r)
-        assert field.limiting_kernel(3, [r, 0.0, 0.0]) == pytest.approx(sinc, abs=1e-8)
+        z = 2 * math.pi * r
+        sinc = math.sin(z) / z
+        assert field.limiting_kernel(3, [r, 0.0, 0.0]) == pytest.approx(sinc, abs=1e-13)
+        s4 = 3 * (math.sin(z) - z * math.cos(z)) / z**3  # the average over S^4
+        assert field.limiting_kernel(5, [r, 0.0, 0.0, 0.0, 0.0]) == pytest.approx(s4, abs=1e-13)
 
 
 def test_limiting_kernel_mc_oracle_d2():

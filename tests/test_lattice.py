@@ -178,12 +178,26 @@ def test_overflow_raised_not_wrapped():
         lattice.enumerate_shell(2, 2**63)
     with pytest.raises(Overflow):
         lattice.representation_count(3, 2**63 + 1)
+    # counts past 2^63 that the int64 dot product would wrap
+    for d, n in ((24, 100), (8, 10**6), (40, 30)):
+        with pytest.raises(Overflow):
+            lattice.representation_count(d, n)
+    # here the r_k tables themselves leave int64 before m = 40
+    with pytest.raises(Overflow):
+        lattice.representation_count(128, 40)
+    assert lattice.representation_count(16, 400) == 3108370662205774624
 
 
-def test_ball_moment_sweep_matches_per_shell():
-    counts, sums = lattice.ball_moment_sweep(3, 50)
-    for n in range(1, 51):
-        shell = lattice.enumerate_shell(3, n)
+# includes perfect-square n_max and n_max <= 1
+@pytest.mark.parametrize(
+    "d, n_max", [(3, 50), (2, 200), (4, 30), (5, 12), (2, 196), (3, 49), (2, 0), (4, 1)]
+)
+def test_ball_moment_sweep_matches_per_shell(d, n_max):
+    counts, sums = lattice.ball_moment_sweep(d, n_max)
+    assert counts.dtype == sums.dtype == np.int64
+    assert counts.shape == (n_max + 1,) and sums.shape == (n_max + 1, d, d)
+    for n in range(n_max + 1):
+        shell = lattice.enumerate_shell(d, n)
         assert counts[n] == shell.dim_HL
         if not shell.is_empty:
             assert np.array_equal(sums[n], lattice.orthogonality_sums(shell))
