@@ -64,6 +64,9 @@ def cmd_lattice(args) -> int:
 # ---------------------------------------------------------------- sample
 
 def cmd_sample(args) -> int:
+    # both checks are cheap; enumerating a large shell can take minutes
+    lattice.check_shell_args(args.dim, args.n)
+    field.require_alias_free(args.n, args.grid)
     shell = lattice.enumerate_shell(args.dim, args.n)
     sample = field.sample_coefficients(shell, args.seed, args.trial)
     grid = field.eval_grid(sample, args.grid)
@@ -75,6 +78,7 @@ def cmd_sample(args) -> int:
 
 def cmd_count(args) -> int:
     grid = gridio.read_grid(getattr(args, "in"))
+    field.require_alias_free(grid.n, grid.M)  # before the shell is enumerated
     shell = lattice.enumerate_shell(grid.d, grid.n)
     sample = field.sample_coefficients(shell, grid.seed, grid.trial_index)
     regen = field.eval_grid(sample, grid.M)

@@ -72,6 +72,12 @@ def min_alias_free_M(n: int) -> int:
     return 2 * math.isqrt(n) + 1
 
 
+def require_alias_free(n: int, M: int) -> None:
+    """Raise AliasError when an M grid cannot hold the shell-n frequencies."""
+    if M < min_alias_free_M(n):
+        raise AliasError(f"M={M} < {min_alias_free_M(n)} required for n={n}")
+
+
 @dataclass(frozen=True)
 class WaveSample:
     """One draw of coefficients over a shell, with seed provenance.
@@ -206,8 +212,7 @@ def eval_grid(sample: WaveSample, M: int, derivative: tuple[int, ...] = ()) -> F
     """
     shell = sample.shell
     d = shell.d
-    if M < min_alias_free_M(shell.n):
-        raise AliasError(f"M={M} < {min_alias_free_M(shell.n)} required for n={shell.n}")
+    require_alias_free(shell.n, M)
     cells = M**d
     if cells * ANALYZE_BYTES_PER_CELL > memory_budget_bytes():
         raise MemoryBudgetExceeded(f"grid {M}^{d} exceeds the memory budget")
@@ -336,24 +341,21 @@ def parseval_norm(sample: WaveSample, grid: FieldGrid) -> tuple[float, float]:
     grid is alias-free."""
     if grid.derivative_tag != ():
         raise ValidationError("parseval_norm expects a value grid")
-    if grid.M < min_alias_free_M(sample.shell.n):
-        raise AliasError("grid is not alias-free for this shell")
+    require_alias_free(sample.shell.n, grid.M)
     coef = sample.coef_norm()
     grid_norm = math.sqrt(float(np.mean(grid.values**2)))
     return coef, grid_norm
 
 
-def local_bound_ratio(
-    sample: WaveSample, x0, r: float, points_per_axis: int = 32
-) -> tuple[float, float, float]:
+def local_bound_ratio(sample: WaveSample, x0, r: float) -> tuple[float, float, float]:
     """Ratios of squared value/gradient/Hessian at x0 to the local L2 mass
     on the ball of radius r/L, in the eigenfunction scaling: the value
     ratio divides by L^d * integral, the gradient by L^(d+2), the Hessian
-    by L^(d+4).  The integral uses a midpoint grid of >= 32 points per
-    axis over the bounding cube, masked to the ball."""
+    by L^(d+4).  The integral uses a midpoint grid of 32 points per axis
+    over the bounding cube, masked to the ball."""
     if r <= 0:
         raise ValidationError("r must be positive")
-    m = max(32, points_per_axis)
+    m = 32
     shell = sample.shell
     d = shell.d
     L = shell.L

@@ -16,13 +16,22 @@ from .field import FieldGrid
 MAGIC = b"ARWG"
 VERSION = 1
 _HEADER = struct.Struct("<4sIIQIQQ")
+# FieldGrid attributes stored after magic and version, in header order
+_FIELDS = ("d", "n", "M", "seed", "trial_index")
 # The largest ndarray rank (NPY_MAXDIMS in NumPy 2); a header's d is checked
 # against it before M**d or the reshape can run on it.
 MAX_RANK = 64
 
 
 def write_grid(path: str, grid: FieldGrid) -> None:
-    header = _HEADER.pack(MAGIC, VERSION, grid.d, grid.n, grid.M, grid.seed, grid.trial_index)
+    """Write `grid`; a header field outside its unsigned range raises
+    ValidationError before the file is opened."""
+    fields = [getattr(grid, name) for name in _FIELDS]
+    for name, value, code in zip(_FIELDS, fields, _HEADER.format[-len(_FIELDS):]):
+        bits = 8 * struct.calcsize(code)
+        if not 0 <= value < 2**bits:
+            raise ValidationError(f"grid header field {name}={value} is outside the u{bits} range")
+    header = _HEADER.pack(MAGIC, VERSION, *fields)
     data = np.ascontiguousarray(grid.values, dtype="<f8")
     try:
         with open(path, "wb") as fh:

@@ -34,6 +34,13 @@ def _check_n(n: int) -> None:
         raise ValidationError("n must be nonnegative")
 
 
+def check_shell_args(d: int, n: int) -> None:
+    """Validate a shell's dimension and squared radius without enumerating it."""
+    if d < 1:
+        raise ValidationError("d must be >= 1")
+    _check_n(n)
+
+
 @dataclass(frozen=True)
 class LatticeShell:
     """All integer vectors with squared norm n in dimension d.
@@ -100,9 +107,7 @@ def enumerate_shell(d: int, n: int) -> LatticeShell:
     An empty shell (n not a sum of d squares) is a valid result, not an
     error.  Raises Overflow if n exceeds the 64-bit contract.
     """
-    if d < 1:
-        raise ValidationError("d must be >= 1")
-    _check_n(n)
+    check_shell_args(d, n)
     pts = _enumerate_points(d, n)
     points = np.array(pts, dtype=np.int64).reshape(len(pts), d)
     if len(pts):
@@ -168,9 +173,7 @@ def representation_count(d: int, n: int) -> int:
     the two square-count tables (meet in the middle); each table is built
     by convolving the 1-D square-count function with itself.
     """
-    if d < 1:
-        raise ValidationError("d must be >= 1")
-    _check_n(n)
+    check_shell_args(d, n)
     if n == 0:
         return 1
     h = d // 2
@@ -248,50 +251,6 @@ class EquidistributionReport:
     angular_star_discrepancy: Optional[float] = None
 
 
-def _even_multi_indices(d: int) -> list[tuple[int, ...]]:
-    idx: list[tuple[int, ...]] = []
-    for i in range(d):
-        alpha = [0] * d
-        alpha[i] = 2
-        idx.append(tuple(alpha))
-    for i in range(d):
-        alpha = [0] * d
-        alpha[i] = 4
-        idx.append(tuple(alpha))
-    for i in range(d):
-        for j in range(i + 1, d):
-            alpha = [0] * d
-            alpha[i] = 2
-            alpha[j] = 2
-            idx.append(tuple(alpha))
-    return idx
-
-
-def _sphere_moment(d: int, alpha: tuple[int, ...]) -> Fraction:
-    """Uniform-sphere moment of zeta^alpha for the even multi-indices used
-    here: E[z_i^2] = 1/d, E[z_i^4] = 3/(d(d+2)), E[z_i^2 z_j^2] = 1/(d(d+2))."""
-    degree = sum(alpha)
-    if degree == 2:
-        return Fraction(1, d)
-    if max(alpha) == 4:
-        return Fraction(3, d * (d + 2))
-    return Fraction(1, d * (d + 2))
-
-
-def _empirical_moment(shell: LatticeShell, alpha: tuple[int, ...]) -> Fraction:
-    """(1/N) * sum over the shell of (lambda/sqrt(n))^alpha, exactly."""
-    pts = shell.points
-    num = 0
-    for row in pts:
-        term = 1
-        for lam, a in zip(row.tolist(), alpha):
-            if a:
-                term *= lam**a
-        num += term
-    power = sum(alpha) // 2
-    return Fraction(num, shell.n**power * shell.dim_HL)
-
-
 def star_discrepancy(values: np.ndarray) -> float:
     """Star discrepancy of a sample against the uniform law on [0, 1)."""
     u = np.sort(np.asarray(values, dtype=float))
@@ -302,25 +261,40 @@ def star_discrepancy(values: np.ndarray) -> float:
 
 def equidistribution_report(shell: LatticeShell) -> EquidistributionReport:
     """Degree-2/4 moment deviations from the sphere, plus the angular star
-    discrepancy when d = 2."""
+    discrepancy when d = 2.
+
+    The empirical moments (1/N) sum (lambda/sqrt(n))^alpha are exact: with
+    the squared coordinates as Python ints, the degree-2 sums are their
+    column sums and the degree-4 sums their Gram matrix.  The sphere's are
+    E[z_i^2] = 1/d, E[z_i^4] = 3/(d(d+2)) and E[z_i^2 z_j^2] = 1/(d(d+2)).
+    """
     shell.require_nonempty()
-    deviations: dict[tuple[int, ...], float] = {}
-    max_dev4 = 0.0
-    for alpha in _even_multi_indices(shell.d):
-        dev = abs(_empirical_moment(shell, alpha) - _sphere_moment(shell.d, alpha))
-        deviations[alpha] = float(dev)
-        if sum(alpha) == 4:
-            max_dev4 = max(max_dev4, float(dev))
+    d, n, N = shell.d, shell.n, shell.dim_HL
+    sq = shell.points.astype(object) ** 2
+    deg2, deg4 = sq.sum(axis=0), sq.T @ sq
+
+    def alpha(*axes: int) -> tuple[int, ...]:
+        return tuple(2 * axes.count(a) for a in range(d))
+
+    ball = Fraction(1, d * (d + 2))
+    moments = [(alpha(i), Fraction(deg2[i], n * N), Fraction(1, d)) for i in range(d)]
+    moments += [(alpha(i, i), Fraction(deg4[i, i], n * n * N), 3 * ball) for i in range(d)]
+    moments += [
+        (alpha(i, j), Fraction(deg4[i, j], n * n * N), ball)
+        for i in range(d)
+        for j in range(i + 1, d)
+    ]
+    deviations = {key: float(abs(emp - exact)) for key, emp, exact in moments}
     angular = None
-    if shell.d == 2:
+    if d == 2:
         pts = shell.points.astype(float)
         angles = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * np.pi)
         angular = star_discrepancy(angles / (2.0 * np.pi))
     return EquidistributionReport(
-        d=shell.d,
-        n=shell.n,
+        d=d,
+        n=n,
         moment_deviations=deviations,
-        max_dev4=max_dev4,
+        max_dev4=max(dev for key, dev in deviations.items() if sum(key) == 4),
         angular_star_discrepancy=angular,
     )
 

@@ -4,12 +4,14 @@ Domains are face-connected sets of same-sign vertices; the zero set is
 tracked through mixed cells (grid hypercubes whose 2^d corners carry both
 signs).  Both counts label in-grid patches first (`ndimage.label` on each
 sign for domains, one sparse connected-components pass over mixed-cell
-nodes for the zero set) and then hand them to one kernel,
-`_merge_patches`.  It merges patches across the periodic seams and the
-d=2 saddle diagonals with an offset-tracking union-find (Newman & Ziff,
-2001), which lifts each patch to Z^d coordinates and detects components
-that wind around the torus (inconsistent lift).  `count_components`
-lifts its patches' bounding boxes to get component diameters.
+nodes for the zero set) and then hand the patch graph, never the grid,
+to one kernel, `_merge_patches`.  It merges patches across the periodic
+seams and the d=2 saddle diagonals with an offset-tracking union-find
+(Newman & Ziff, 2001), which gives each patch its component and its
+lift to Z^d and detects components that wind around the torus
+(inconsistent lift).  Each count maps the components back onto its own
+grid; `count_components` reduces its nodes' lifted coordinates once per
+axis to get component diameters.
 
 Counting on a grid is a discretization heuristic: two features closer than
 one cell can merge.  The `certified` flag combines a conservative
@@ -135,34 +137,31 @@ class _OffsetUnionFind:
 
 @dataclass(frozen=True)
 class PeriodicLabeling:
-    """Components of a periodic grid graph.
+    """Components of a periodic graph of in-grid patches.
 
-    `labels` assigns 1-based component ids in order of first raster-scan
-    occurrence (0 = background), so labeling is independent of visitation
-    order.  `cells[c]` counts the component's nodes and `wraps[c]` marks
+    Components are 0-based and ordered by their smallest `first` key.
+    `cells[c]` counts the component's nodes and `wraps[c]` marks
     components with no consistent lift.  Per in-grid patch p, `comp[p]`
-    is its 0-based component and `lift[p]` its offset in Z^d from the
+    is its component and `lift[p]` its offset in Z^d from the
     component's root patch.
     """
 
     count: int
-    labels: np.ndarray = field(repr=False)
     cells: np.ndarray = field(repr=False)
     wraps: np.ndarray = field(repr=False)
     comp: np.ndarray = field(repr=False)
     lift: np.ndarray = field(repr=False)
 
 
-def _merge_patches(patch_labels, first, cells, links) -> PeriodicLabeling:
+def _merge_patches(d: int, first, cells, links) -> PeriodicLabeling:
     """Merge in-grid patches into periodic components (Newman & Ziff, 2001).
 
-    Patches are numbered from 0; `patch_labels` holds patch + 1 at each
-    grid site (0 = none).  Per patch, `first` is its first raster key and
-    `cells` its node count.  `links` lists array triples (pa, pb, rel)
-    declaring lift(pb) = lift(pa) + rel across seams and saddles.
-    Components are ordered by smallest first key.
+    Patches are numbered from 0 and the kernel never sees the grid.  Per
+    patch, `first` is its smallest raster key and `cells` its node count.
+    `links` lists array triples (pa, pb, rel) declaring
+    lift(pb) = lift(pa) + rel across seams and saddles.
     """
-    npatch, d = len(cells), patch_labels.ndim
+    npatch = len(cells)
     rows = np.column_stack([np.concatenate(part) for part in zip(*links)])
     rows = rows[np.lexsort(rows.T)]  # dedupe; np.unique(axis=0) is several times slower
     keep = np.ones(len(rows), dtype=bool)
@@ -184,15 +183,11 @@ def _merge_patches(patch_labels, first, cells, links) -> PeriodicLabeling:
     np.minimum.at(key, comp, first)
     comp = np.argsort(np.argsort(key))[comp]
 
-    comp_cells = np.bincount(comp, weights=cells, minlength=count).astype(np.int64)
     wraps = np.zeros(count, dtype=bool)
     wraps[comp[list(uf.wrapped)]] = True
-    table = np.zeros(npatch + 1, dtype=np.int32)
-    table[1:] = comp + 1
     return PeriodicLabeling(
         count=count,
-        labels=table[patch_labels],
-        cells=comp_cells,
+        cells=np.bincount(comp, weights=cells, minlength=count).astype(np.int64),
         wraps=wraps,
         comp=comp,
         lift=offset,
@@ -243,9 +238,11 @@ def count_domains(sg: SignGrid) -> tuple[int, np.ndarray, np.ndarray]:
                 patches[tuple(c % M for c in ub)] - 1,
                 M * np.column_stack([b // M - a // M for a, b in zip(ua, ub)]),  # seams crossed
             ))
-    lab = _merge_patches(patches, first, cells, links)
+    lab = _merge_patches(d, first, cells, links)
+    table = np.zeros(len(cells) + 1, dtype=np.int32)
+    table[1:] = lab.comp + 1
     volumes = lab.cells.astype(float) / float(M**d)
-    return lab.count, volumes, lab.labels
+    return lab.count, volumes, table[patches]
 
 
 def _mixed(signs: np.ndarray, axes) -> np.ndarray:
@@ -275,25 +272,23 @@ def count_components(
     # cell j spans vertices j + {0,1}^d; a face is crossed when its own
     # 2^(d-1) vertices carry both signs
     sites = np.flatnonzero(_mixed(sg.signs, range(d)))
-    # node i < len(sites) is cell sites[i]; in d=2 a checkerboard cell has a
-    # second node, the zero-curve segment that does not touch its S face
-    second = np.zeros(0, dtype=np.int64)
+    # nodes are numbered in raster order of their cells; in d=2 a
+    # checkerboard cell's second node, the zero-curve segment that does not
+    # touch its S face, takes the id right after its first
+    node_of = np.zeros(sg.signs.size, dtype=np.int32)
+    node_of[sites] = np.arange(len(sites))
+    node_cells = sites
     out_second = in_second = [None] * d
     if d == 2:
         main, anti = sg.saddles
-        second = np.flatnonzero(main | anti)
+        twin = (main | anti).ravel()[sites]
+        node_of[sites] += np.cumsum(twin) - twin
+        node_cells = np.repeat(sites, 1 + twin)
         # the center sign pairs faces (S,E)+(W,N) on `main`, (W,S)+(E,N) on `anti`
         out_second, in_second = (anti, main | anti), (main, None)
 
-    node_of = np.zeros(sg.signs.size, dtype=np.int32)
-    node_of[sites] = np.arange(len(sites))
-
-    def node(cell: np.ndarray, uses_second) -> np.ndarray:
-        ids = node_of[cell]
-        if uses_second is not None:
-            sel = uses_second.ravel()[cell]
-            ids[sel] = len(sites) + np.searchsorted(second, cell[sel])
-        return ids
+    def node(cell: np.ndarray, second) -> np.ndarray:
+        return node_of[cell] if second is None else node_of[cell] + second.ravel()[cell]
 
     rows, cols, seam = [], [], []
     for axis in range(d):
@@ -308,34 +303,29 @@ def count_components(
         rel = np.broadcast_to(M * np.eye(d, dtype=np.int64)[axis], (np.count_nonzero(at_seam), d))
         seam.append((a[at_seam], b[at_seam], rel))
     rows, cols = np.concatenate(rows), np.concatenate(cols)
-    node_cells = np.concatenate([sites, second])
     total = len(node_cells)
     graph = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(total, total))
     npatch, patch_of_node = _sparse_components(graph, directed=False)
-    keys = 2 * node_cells  # a cell's second node follows its first
-    keys[len(sites):] += 1
     first = np.full(npatch, np.iinfo(np.int64).max)
-    np.minimum.at(first, patch_of_node, keys)
-    lo = np.full((d, npatch), np.iinfo(np.int64).max)
-    hi = np.full((d, npatch), np.iinfo(np.int64).min)
-    for axis, coord in enumerate(np.unravel_index(node_cells, sg.signs.shape)):
-        np.minimum.at(lo[axis], patch_of_node, coord)  # 1-D reductions are the fast ones
-        np.maximum.at(hi[axis], patch_of_node, coord + 1)
+    np.minimum.at(first, patch_of_node, np.arange(total))
     cells = np.bincount(patch_of_node, minlength=npatch)
-    patch_labels = np.zeros(sg.signs.shape, dtype=np.int32)
-    np.put(patch_labels, sites, patch_of_node[: len(sites)] + 1)
     links = [(patch_of_node[a], patch_of_node[b], rel) for a, b, rel in seam]
 
-    lab = _merge_patches(patch_labels, first, cells, links)
-    # lift each patch's in-grid box [lo, hi) into its component's frame
-    comp_lo = np.full((lab.count, d), np.iinfo(np.int64).max)
-    comp_hi = np.full((lab.count, d), np.iinfo(np.int64).min)
-    np.minimum.at(comp_lo, lab.comp, lo.T + lab.lift)
-    np.maximum.at(comp_hi, lab.comp, hi.T + lab.lift)
+    lab = _merge_patches(d, first, cells, links)
+    comp_of_node = lab.comp[patch_of_node]
+    # lifted box [lo, hi] of each component, one 1-D reduction per axis
+    lo = np.full((d, lab.count), np.iinfo(np.int64).max)
+    hi = np.full((d, lab.count), np.iinfo(np.int64).min)
+    for axis, coord in enumerate(np.unravel_index(node_cells, sg.signs.shape)):
+        lifted = coord + lab.lift[patch_of_node, axis]
+        np.minimum.at(lo[axis], comp_of_node, lifted)
+        np.maximum.at(hi[axis], comp_of_node, lifted)
     h = 1.0 / M
-    diameters = h * np.sqrt(np.sum((comp_hi - comp_lo).astype(float) ** 2, axis=1))
+    diameters = h * np.sqrt(np.sum((hi - lo + 1).astype(float) ** 2, axis=0))
     diameters[lab.wraps] = 0.5
-    return lab.count, lab.cells, diameters, lab.wraps, lab.labels
+    labels = np.zeros(sg.signs.shape, dtype=np.int32)
+    np.put(labels, sites, comp_of_node[node_of[sites]] + 1)
+    return lab.count, lab.cells, diameters, lab.wraps, labels
 
 
 @dataclass(frozen=True)
@@ -506,14 +496,14 @@ def analyze(sample: WaveSample, M: int, auto_refine: bool = False) -> NodalSumma
     )
 
 
-def bessel_first_zero(nu: float, xtol: float = 1e-12) -> float:
+def bessel_first_zero(nu: float) -> float:
     """First positive zero of the Bessel function J_nu, by bracketed
     root-finding (J_nu is positive on (0, j_{nu,1}))."""
     x = max(nu, 0.0) + 0.5
     step = 0.5
     while special.jv(nu, x) > 0:
         x += step
-    return float(brentq(lambda t: special.jv(nu, t), x - step, x, xtol=xtol))
+    return float(brentq(lambda t: special.jv(nu, t), x - step, x, xtol=1e-12))
 
 
 def faber_krahn_constant(d: int) -> float:

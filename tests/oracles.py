@@ -51,7 +51,8 @@ def _cell_faces(signs: np.ndarray, i: int, j: int) -> dict[str, bool]:
 
 def _cell_segments(signs: np.ndarray, main: np.ndarray, i: int, j: int):
     """Zero-curve segments of one cell as lists of incident face names.
-    `main` marks the checkerboard cells whose center sign matches s00."""
+    `main` marks the checkerboard cells whose center sign matches s00; a
+    checkerboard cell lists its segment touching the S face first."""
     faces = _cell_faces(signs, i, j)
     if not faces["mixed"]:
         return []
@@ -62,8 +63,18 @@ def _cell_segments(signs: np.ndarray, main: np.ndarray, i: int, j: int):
     return [["W", "S"], ["E", "N"]]
 
 
-def flood_fill_components(signs: np.ndarray, main: np.ndarray) -> int:
-    """Number of zero-set components: BFS on marching-squares segments."""
+def flood_fill_components(signs: np.ndarray, main: np.ndarray):
+    """Zero-set components of a d=2 sign grid: BFS on marching-squares
+    segments, tracking each segment's lifted cell coordinate in Z^2.
+
+    Returns (k, segments, widths, wraps, labels).  Components are numbered
+    in raster order of their cells, and within a checkerboard cell its
+    segment touching the S face comes first.  `segments[c]` counts the
+    component's segments, `widths` are its lifted bounding-box extents in
+    cells, a component wraps when two paths give one segment different
+    lifts, and `labels` gives each mixed cell the 1-based component of its
+    S-touching segment (of its only segment, if it has one).
+    """
     M0, M1 = signs.shape
     segments: dict[tuple[int, int], list[list[str]]] = {}
     for i in range(M0):
@@ -80,28 +91,54 @@ def flood_fill_components(signs: np.ndarray, main: np.ndarray) -> int:
 
     opposite = {"E": "W", "W": "E", "N": "S", "S": "N"}
     step = {"E": (1, 0), "W": (-1, 0), "N": (0, 1), "S": (0, -1)}
-    seen: set[tuple[int, int, int]] = set()
-    count = 0
+    comp_of: dict[tuple[int, int, int], int] = {}
+    lift: dict[tuple[int, int, int], tuple[int, int]] = {}
+    sizes, widths, wraps = [], [], []
     for cell, segs in segments.items():
         for idx in range(len(segs)):
-            if (cell[0], cell[1], idx) in seen:
+            start = (cell[0], cell[1], idx)
+            if start in comp_of:
                 continue
-            count += 1
-            queue = deque([(cell[0], cell[1], idx)])
-            seen.add((cell[0], cell[1], idx))
+            comp = len(sizes)
+            comp_of[start] = comp
+            lift[start] = cell
+            lo, hi = list(cell), list(cell)
+            size, wrapped = 1, False
+            queue = deque([start])
             while queue:
-                ci, cj, cidx = queue.popleft()
+                node = queue.popleft()
+                ci, cj, cidx = node
                 for name in segments[(ci, cj)][cidx]:
                     di, dj = step[name]
                     nb = ((ci + di) % M0, (cj + dj) % M1)
                     nidx = seg_with_face(nb, opposite[name])
                     if nidx is None:
                         continue
-                    node = (nb[0], nb[1], nidx)
-                    if node not in seen:
-                        seen.add(node)
-                        queue.append(node)
-    return count
+                    other = (nb[0], nb[1], nidx)
+                    lifted = (lift[node][0] + di, lift[node][1] + dj)
+                    if other not in comp_of:
+                        comp_of[other] = comp
+                        lift[other] = lifted
+                        lo = [min(a, b) for a, b in zip(lo, lifted)]
+                        hi = [max(a, b) for a, b in zip(hi, lifted)]
+                        size += 1
+                        queue.append(other)
+                    elif lift[other] != lifted:
+                        wrapped = True
+            sizes.append(size)
+            widths.append([b - a + 1 for a, b in zip(lo, hi)])
+            wraps.append(wrapped)
+
+    labels = np.zeros(signs.shape, dtype=np.int64)
+    for i, j in segments:
+        labels[i, j] = comp_of[(i, j, 0)] + 1
+    return (
+        len(sizes),
+        np.array(sizes, dtype=np.int64),
+        np.array(widths, dtype=np.int64).reshape(-1, 2),
+        np.array(wraps, dtype=bool),
+        labels,
+    )
 
 
 def flood_fill_domains(signs: np.ndarray, main: np.ndarray) -> int:

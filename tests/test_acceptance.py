@@ -131,7 +131,7 @@ def test_criterion_05_topology_oracle():
         k, *_ = nodal.count_components(sg)
         if r != flood_fill_domains(sg.signs, sg.saddles[0]):
             mismatches += 1
-        if k != flood_fill_components(sg.signs, sg.saddles[0]):
+        if k != flood_fill_components(sg.signs, sg.saddles[0])[0]:
             mismatches += 1
     _report(
         5,

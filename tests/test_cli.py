@@ -87,6 +87,39 @@ def test_sample_rejects_grid_below_alias_floor(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_alias_floor_checked_before_shell_enumeration(tmp_path, capsys, monkeypatch):
+    # enumerating d=3, n=10^8 runs for minutes; M=1 must be refused first
+    def refuse(d, n):
+        raise AssertionError(f"shell ({d}, {n}) enumerated before the argument checks")
+
+    monkeypatch.setattr(cli.lattice, "enumerate_shell", refuse)
+    out = tmp_path / "field.bin"
+    assert run_cli("sample", "--dim", "3", "--n", str(10**8), "--seed", "1",
+                   "--grid", "1", "--out", str(out)) == 2
+    assert "required for n=100000000" in capsys.readouterr().err
+    for dim, n, message in (("0", "5", "d must be >= 1"), ("2", "-1", "n must be nonnegative")):
+        assert run_cli("sample", "--dim", dim, "--n", n, "--seed", "1",
+                       "--grid", "16", "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+    assert not out.exists()
+
+    header = gridio._HEADER.pack(gridio.MAGIC, gridio.VERSION, 3, 10**8, 1, 5, 0)
+    out.write_bytes(header + b"\0" * 8)
+    assert run_cli("count", "--in", str(out)) == 2
+    assert "required for n=100000000" in capsys.readouterr().err
+
+
+def test_sample_rejects_seed_or_trial_past_u64(tmp_path, capsys):
+    out = tmp_path / "field.bin"
+    for seed, trial in ((str(2**64), "0"), ("3", str(2**64))):
+        assert run_cli(
+            "sample", "--dim", "2", "--n", "25", "--seed", seed, "--trial", trial,
+            "--grid", "16", "--out", str(out),
+        ) == 2
+        assert "outside the u64 range" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_count_rejects_tampered_grid(tmp_path, capsys):
     out = tmp_path / "field.bin"
     run_cli("sample", "--dim", "2", "--n", "25", "--seed", "5", "--trial", "0",

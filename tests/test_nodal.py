@@ -113,17 +113,48 @@ def test_blob_across_seam_not_wrapping():
     assert r == 2
 
 
+def assert_matches_d2_oracle(sg):
+    k, cells, diams, wraps, labels = nodal.count_components(sg)
+    oracle_k, segments, widths, oracle_wraps, oracle_labels = flood_fill_components(
+        sg.signs, sg.saddles[0]
+    )
+    assert k == oracle_k
+    assert np.array_equal(labels, oracle_labels)
+    assert np.array_equal(cells, segments)
+    assert np.array_equal(wraps, oracle_wraps)
+    lifted = np.sqrt(np.sum(widths.astype(float) ** 2, axis=1)) / sg.M
+    assert diams == pytest.approx(np.where(oracle_wraps, 0.5, lifted), rel=1e-12)
+
+
 def test_flood_fill_oracle_small_grids():
-    rng = np.random.default_rng(12)
     for n in (5, 13, 25):
         shell = lattice.enumerate_shell(2, n)
         for trial in range(25):
             sample = field.sample_coefficients(shell, 321, trial)
             sg = nodal.sign_grid(field.eval_grid(sample, 32))
             r, _, _ = nodal.count_domains(sg)
-            k, *_ = nodal.count_components(sg)
             assert r == flood_fill_domains(sg.signs, sg.saddles[0])
-            assert k == flood_fill_components(sg.signs, sg.saddles[0])
+            assert_matches_d2_oracle(sg)
+
+
+def test_d2_saddle_grids_match_component_oracle():
+    # labels, segment counts, wraps and lifted widths on grids with
+    # checkerboard cells, where a cell holds two zero-curve segments
+    rng = np.random.default_rng(5)
+    for M in range(1, 18):
+        for _ in range(12):
+            values = rng.standard_normal((M, M))
+            assert_matches_d2_oracle(nodal.sign_grid(field.FieldGrid(d=2, n=1, M=M, values=values)))
+    saddles = on_seam = 0
+    for n, M in ((65, 24), (65, 32), (325, 48)):
+        shell = lattice.enumerate_shell(2, n)
+        for trial in range(6):
+            sg = nodal.sign_grid(field.eval_grid(field.sample_coefficients(shell, 4242, trial), M))
+            split = sg.saddles[0] | sg.saddles[1]
+            saddles += np.count_nonzero(split)
+            on_seam += np.count_nonzero(split[-1]) + np.count_nonzero(split[:, -1])
+            assert_matches_d2_oracle(sg)
+    assert saddles > 100 and on_seam > 10
 
 
 def assert_matches_nd_oracles(sg):
