@@ -9,18 +9,30 @@ only at evaluation boundaries.
 The cosine/sine pair of a single frequency D in one variable algebraizes
 to the classical degree-D homogeneous pair (C_D, S_D) with
 C_D^2 + S_D^2 = (c^2 + s^2)^D, and C_D + i S_D = (c + i s)^D.
+
+Terms combine in one place per type: `AlgPoly(nvars, terms)` and
+`TrigPoly.build(d, raw)` take a mapping or (key, coefficient) pairs, sum
+the coefficients of repeated keys in first-seen key order (`build` after
+making each frequency canonical), drop the keys whose sum is zero and
+check the arity.  Arithmetic only produces terms and hands them over.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import DegreeTooSmall, ExpansionBudgetExceeded, IdentityFailure, ValidationError
 
 Coeff = Union[Fraction, int, float]
+# a mapping, or (key, coefficient) pairs in which a key may repeat
+_Terms = Union[Mapping[tuple[int, ...], Coeff], Iterable[tuple[tuple[int, ...], Coeff]]]
+_Pair = tuple[Coeff, Coeff]
+_PairTerms = Union[Mapping[tuple[int, ...], _Pair], Iterable[tuple[tuple[int, ...], _Pair]]]
 
 
 class AlgPoly:
@@ -28,16 +40,16 @@ class AlgPoly:
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Optional[Mapping[tuple[int, ...], Coeff]] = None):
+    def __init__(self, nvars: int, terms: Optional[_Terms] = None):
         self.nvars = nvars
-        clean: dict[tuple[int, ...], Coeff] = {}
+        acc: dict[tuple[int, ...], Coeff] = {}
         if terms:
-            for exp, coef in terms.items():
+            for exp, coef in terms.items() if isinstance(terms, Mapping) else terms:
                 if len(exp) != nvars:
                     raise ValueError("exponent arity mismatch")
-                if coef != 0:
-                    clean[tuple(exp)] = coef
-        self.terms = clean
+                exp = tuple(exp)
+                acc[exp] = acc[exp] + coef if exp in acc else coef
+        self.terms = {exp: coef for exp, coef in acc.items() if coef != 0}
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -85,10 +97,7 @@ class AlgPoly:
     def __add__(self, other: "AlgPoly") -> "AlgPoly":
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
-        out = dict(self.terms)
-        for exp, coef in other.terms.items():
-            out[exp] = out.get(exp, 0) + coef
-        return AlgPoly(self.nvars, out)
+        return AlgPoly(self.nvars, chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self) -> "AlgPoly":
         return AlgPoly(self.nvars, {e: -c for e, c in self.terms.items()})
@@ -105,20 +114,23 @@ class AlgPoly:
         return self.mul(other)
 
     def mul(self, other: "AlgPoly", budget: Optional[list[int]] = None) -> "AlgPoly":
-        """Product; `budget` is a one-element countdown of monomial merges,
-        raising ExpansionBudgetExceeded when exhausted."""
+        """Product; `budget` is a one-element countdown of monomial merges
+        (one per pair of terms), raising ExpansionBudgetExceeded when it
+        would go negative."""
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
-        out: dict[tuple[int, ...], Coeff] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                if budget is not None:
-                    budget[0] -= 1
-                    if budget[0] < 0:
-                        raise ExpansionBudgetExceeded("monomial budget exhausted")
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                out[exp] = out.get(exp, 0) + c1 * c2
-        return AlgPoly(self.nvars, out)
+        if budget is not None:
+            budget[0] -= len(self.terms) * len(other.terms)
+            if budget[0] < 0:
+                raise ExpansionBudgetExceeded("monomial budget exhausted")
+        return AlgPoly(
+            self.nvars,
+            (
+                (tuple(map(operator.add, e1, e2)), c1 * c2)
+                for e1, c1 in self.terms.items()
+                for e2, c2 in other.terms.items()
+            ),
+        )
 
     def __pow__(self, power: int) -> "AlgPoly":
         if power < 0:
@@ -129,35 +141,33 @@ class AlgPoly:
         return result
 
     def diff(self, var: int) -> "AlgPoly":
-        out: dict[tuple[int, ...], Coeff] = {}
-        for exp, coef in self.terms.items():
-            e = exp[var]
-            if e == 0:
-                continue
-            new = list(exp)
-            new[var] = e - 1
-            key = tuple(new)
-            out[key] = out.get(key, 0) + coef * e
-        return AlgPoly(self.nvars, out)
+        return AlgPoly(
+            self.nvars,
+            (
+                (exp[:var] + (exp[var] - 1,) + exp[var + 1 :], coef * exp[var])
+                for exp, coef in self.terms.items()
+                if exp[var]
+            ),
+        )
 
     # -- variable plumbing ---------------------------------------------
     def embed(self, nvars: int, var_map: Sequence[int]) -> "AlgPoly":
         """Rename variables: old index i becomes var_map[i]."""
-        out: dict[tuple[int, ...], Coeff] = {}
-        for exp, coef in self.terms.items():
+
+        def moved(exp: tuple[int, ...]) -> tuple[int, ...]:
             new = [0] * nvars
             for i, e in enumerate(exp):
                 new[var_map[i]] += e
-            out[tuple(new)] = out.get(tuple(new), 0) + coef
-        return AlgPoly(nvars, out)
+            return tuple(new)
+
+        return AlgPoly(nvars, ((moved(exp), coef) for exp, coef in self.terms.items()))
 
     def substitute_one(self, var: int) -> "AlgPoly":
         """Set one variable to 1 and drop it."""
-        out: dict[tuple[int, ...], Coeff] = {}
-        for exp, coef in self.terms.items():
-            new = exp[:var] + exp[var + 1 :]
-            out[new] = out.get(new, 0) + coef
-        return AlgPoly(self.nvars - 1, out)
+        return AlgPoly(
+            self.nvars - 1,
+            ((exp[:var] + exp[var + 1 :], coef) for exp, coef in self.terms.items()),
+        )
 
     # -- evaluation -----------------------------------------------------
     def eval(self, values: Sequence[Coeff]):
@@ -198,9 +208,9 @@ class TrigPoly:
     terms: dict[tuple[int, ...], tuple[Coeff, Coeff]] = field(default_factory=dict)
 
     @staticmethod
-    def build(d: int, raw: Mapping[tuple[int, ...], tuple[Coeff, Coeff]]) -> "TrigPoly":
-        out: dict[tuple[int, ...], list[Coeff]] = {}
-        for lam, (cc, sc) in raw.items():
+    def build(d: int, raw: _PairTerms) -> "TrigPoly":
+        out: dict[tuple[int, ...], tuple[Coeff, Coeff]] = {}
+        for lam, (cc, sc) in raw.items() if isinstance(raw, Mapping) else raw:
             lam = tuple(int(v) for v in lam)
             if len(lam) != d:
                 raise ValueError("frequency arity mismatch")
@@ -212,12 +222,9 @@ class TrigPoly:
             else:
                 if sc != 0:
                     raise ValueError("sin coefficient of the zero frequency must vanish")
-            acc = out.setdefault(lam, [0, 0])
-            acc[0] = acc[0] + cc
-            acc[1] = acc[1] + sc
-        clean = {
-            lam: (cc, sc) for lam, (cc, sc) in out.items() if cc != 0 or sc != 0
-        }
+            acc_c, acc_s = out.get(lam, (0, 0))
+            out[lam] = (acc_c + cc, acc_s + sc)
+        clean = {lam: cs for lam, cs in out.items() if cs[0] != 0 or cs[1] != 0}
         return TrigPoly(d=d, terms=clean)
 
     @staticmethod
@@ -237,13 +244,7 @@ class TrigPoly:
         return max((sum(abs(v) for v in lam) for lam in self.terms), default=0)
 
     def add(self, other: "TrigPoly") -> "TrigPoly":
-        raw: dict[tuple[int, ...], tuple[Coeff, Coeff]] = dict(self.terms)
-        merged = {lam: list(cs) for lam, cs in raw.items()}
-        for lam, (cc, sc) in other.terms.items():
-            acc = merged.setdefault(lam, [0, 0])
-            acc[0] = acc[0] + cc
-            acc[1] = acc[1] + sc
-        return TrigPoly.build(self.d, {lam: (cs[0], cs[1]) for lam, cs in merged.items()})
+        return TrigPoly.build(self.d, chain(self.terms.items(), other.terms.items()))
 
     def scale(self, value: Coeff) -> "TrigPoly":
         return TrigPoly.build(
@@ -321,11 +322,9 @@ def homogenize(P: AlgPoly, formal_degree: int) -> AlgPoly:
     formal_degree; substituting z0 = 1 recovers P."""
     if formal_degree < P.degree():
         raise DegreeTooSmall(f"formal degree {formal_degree} < deg = {P.degree()}")
-    out: dict[tuple[int, ...], Coeff] = {}
-    for exp, coef in P.terms.items():
-        pad = formal_degree - sum(exp)
-        out[(pad,) + exp] = coef
-    return AlgPoly(P.nvars + 1, out)
+    return AlgPoly(
+        P.nvars + 1, (((formal_degree - sum(exp),) + exp, coef) for exp, coef in P.terms.items())
+    )
 
 
 def determinant(matrix: Sequence[Sequence[AlgPoly]], budget: int = 10**6) -> AlgPoly:
@@ -372,10 +371,8 @@ def gradient_system_jacobian(T: TrigPoly, budget: int = 10**6) -> tuple[AlgPoly,
     (2 pi)^k * P with P exact rational.
     """
     d = T.d
-    rows: list[AlgPoly] = []
-    for j in range(d):
-        rows.append(algebraize(T.derivative_scaled(j)))
-        rows.append(circle_relations(d)[j])
+    circles = circle_relations(d)
+    rows = [row for j in range(d) for row in (algebraize(T.derivative_scaled(j)), circles[j])]
     matrix = [[row.diff(v) for v in range(2 * d)] for row in rows]
     return determinant(matrix, budget=budget), d
 

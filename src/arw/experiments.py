@@ -32,11 +32,6 @@ from .field import min_alias_free_M, sample_coefficients
 from .lattice import admissible_sequence, enumerate_shell
 from .nodal import analyze
 
-# d=2 products of primes 1 mod 4 (5, 5*13, 5^2*13, 5*13*17): shell sizes
-# 8, 16, 24, 32 grow while L stays moderate.  Admissibility is a measured
-# diagnostic (equidistribution_report), not an assumption.
-BUILTIN_D2_SEQUENCE = (5, 65, 325, 1105)
-
 
 @dataclass(frozen=True)
 class MPolicy:

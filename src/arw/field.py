@@ -131,10 +131,6 @@ class FieldGrid:
     seed: int = 0
     trial_index: int = 0
 
-    @property
-    def h(self) -> float:
-        return 1.0 / self.M
-
 
 def sample_coefficients(shell: LatticeShell, seed: int, trial_index: int) -> WaveSample:
     """Draw i.i.d. N(0,1) coefficient pairs in fixed half-shell order from

@@ -75,28 +75,48 @@ class LatticeShell:
 
 def _enumerate_points(d: int, n: int) -> list[tuple[int, ...]]:
     """All integer d-vectors with squared norm exactly n, lexicographic."""
+    if d == 1:
+        r = math.isqrt(n)
+        return [(v,) for v in sorted({-r, r})] if r * r == n else []
     out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
+    point = [0] * d
+    pen, last = d - 2, d - 1
 
     def rec(k: int, rem: int) -> None:
-        if k == 1:
-            r = math.isqrt(rem)
-            if r * r == rem:
-                if r > 0:
-                    out.append(tuple(prefix) + (-r,))
-                    out.append(tuple(prefix) + (r,))
-                else:
-                    out.append(tuple(prefix) + (0,))
+        # point[:k] is fixed and point[k:] is zero, with k <= pen.  In
+        # lexicographic order the first nonzero coordinate j < pen takes its
+        # negative values for ascending j, then the last two coordinates run
+        # through their circle, then j takes its positive values for
+        # descending j.  A zero coordinate is a loop step, not a call, so
+        # the depth is the number of nonzero coordinates, not d.
+        if rem == 0:
+            out.append(tuple(point))
             return
-        bound = math.isqrt(rem)
-        for v in range(-bound, bound + 1):
-            prefix.append(v)
-            rec(k - 1, rem - v * v)
-            prefix.pop()
+        r = math.isqrt(rem)
+        for j in range(k, pen):
+            for v in range(-r, 0):
+                point[j] = v
+                rec(j + 1, rem - v * v)
+            point[j] = 0
+        for v in range(-r, r + 1):
+            rest = rem - v * v
+            s = math.isqrt(rest)
+            if s * s == rest:
+                point[pen] = v
+                if s:
+                    point[last] = -s
+                    out.append(tuple(point))
+                    point[last] = s
+                out.append(tuple(point))
+                point[last] = 0
+        point[pen] = 0
+        for j in range(pen - 1, k - 1, -1):
+            for v in range(1, r + 1):
+                point[j] = v
+                rec(j + 1, rem - v * v)
+            point[j] = 0
 
-    rec(d, n)
-    # the recursion ascends coordinate-by-coordinate except in the base
-    # case, where -r comes before r; that is already lexicographic.
+    rec(0, n)
     return out
 
 
@@ -270,6 +290,8 @@ def equidistribution_report(shell: LatticeShell) -> EquidistributionReport:
     """
     shell.require_nonempty()
     d, n, N = shell.d, shell.n, shell.dim_HL
+    if n == 0:
+        raise ValidationError("the n=0 shell is the origin alone; it has no directions")
     sq = shell.points.astype(object) ** 2
     deg2, deg4 = sq.sum(axis=0), sq.T @ sq
 

@@ -581,29 +581,21 @@ def perturb_and_compare(
     lab_b = base.component_labels.ravel()
     lab_a = pert.component_labels.ravel()
     both = (lab_b > 0) & (lab_a > 0)
-    shifts = []
-    matched = 0
-    if np.any(both):
-        pair_ids = lab_b[both].astype(np.int64) * (pert.k + 1) + lab_a[both]
-        uniq, counts = np.unique(pair_ids, return_counts=True)
-        overlap_b = uniq // (pert.k + 1)
-        overlap_a = uniq % (pert.k + 1)
-        best: dict[int, tuple[int, int]] = {}
-        for bid, aid, cnt in zip(overlap_b, overlap_a, counts):
-            cur = best.get(int(bid))
-            if cur is None or cnt > cur[1] or (cnt == cur[1] and aid < cur[0]):
-                best[int(bid)] = (int(aid), int(cnt))
-        for bid, (aid, _) in sorted(best.items()):
-            shifts.append(
-                float(base.component_diameters[bid - 1] - pert.component_diameters[aid - 1])
-            )
-            matched += 1
+    pair_ids = lab_b[both].astype(np.int64) * (pert.k + 1) + lab_a[both]
+    uniq, counts = np.unique(pair_ids, return_counts=True)
+    overlap_b, overlap_a = np.divmod(uniq, pert.k + 1)
+    # each base component takes the perturbed one sharing the most mixed
+    # cells, the smaller perturbed id on a tie; shifts in base-id order
+    order = np.lexsort((overlap_a, -counts, overlap_b))
+    bid, first = np.unique(overlap_b[order], return_index=True)
+    aid = overlap_a[order][first]
+    shifts = base.component_diameters[bid - 1] - pert.component_diameters[aid - 1]
     h = 1.0 / base.M
     return PerturbationResult(
         n_before=base.k,
         n_after=pert.k,
-        diam_shifts=np.asarray(shifts, dtype=float),
-        matched=matched,
+        diam_shifts=shifts.astype(float),
+        matched=int(bid.size),
         alpha=alpha,
         beta=beta,
         grid_slack=2.0 * h * math.sqrt(shell.d),

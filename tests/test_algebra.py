@@ -207,6 +207,13 @@ def test_jacobian_budget():
     T = example_trig_poly(2, 4, 3)
     with pytest.raises(ExpansionBudgetExceeded):
         gradient_system_jacobian(T, budget=10)
+    # the smallest budget each Jacobian accepts: one unit per pair of
+    # terms multiplied in the cofactor expansion
+    for args, smallest in (((2, 2, 3), 8), ((2, 4, 3), 20), ((3, 2, 4), 20)):
+        T = example_trig_poly(*args)
+        gradient_system_jacobian(T, budget=smallest)
+        with pytest.raises(ExpansionBudgetExceeded):
+            gradient_system_jacobian(T, budget=smallest - 1)
 
 
 def test_example_value_poly_positive_on_circles():
@@ -227,6 +234,20 @@ def test_trigpoly_canonical_representatives():
     (lam, (cc, sc)), = T.terms.items()
     assert lam == (1, -2)
     assert cc == 1 and sc == -1  # sin flips under negation
+
+
+def test_constructors_combine_repeated_terms():
+    # pairs may repeat a key: sums in first-seen key order, zero sums dropped
+    P = AlgPoly(2, [((1, 0), Fraction(1)), ((0, 1), 2), ((1, 0), Fraction(-1)), ((2, 0), 3),
+                    ((0, 1), 1)])
+    assert list(P.terms.items()) == [((0, 1), 3), ((2, 0), 3)]
+    assert AlgPoly(2, {(1, 0): 2, (0, 1): 0}).terms == {(1, 0): 2}
+    with pytest.raises(ValueError):
+        AlgPoly(2, [((1, 0, 0), 1)])
+    # (-1, 0) is canonicalized to (1, 0) first, flipping its sin coefficient
+    T = TrigPoly.build(2, [((1, 0), (1, 2)), ((0, 1), (5, 0)), ((-1, 0), (-1, 3)), ((0, 0), (4, 0))])
+    assert list(T.terms.items()) == [((1, 0), (0, -1)), ((0, 1), (5, 0)), ((0, 0), (4, 0))]
+    assert T.add(T.scale(-1)).terms == {}
 
 
 def test_trigpoly_degree():

@@ -44,6 +44,18 @@ def test_lattice_command_empty_shell(capsys):
     assert payload["orthogonality"] is None
 
 
+def test_lattice_command_high_dimension_origin(capsys):
+    # d above Python's recursion limit; n=0 is the origin alone, which has
+    # no equidistribution report
+    assert run_cli("lattice", "--dim", "1100", "--n", "0", "--points") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["dim_HL"] == 1
+    assert payload["points"] == [[0] * 1100]
+    assert payload["equidistribution"] is None
+    assert run_cli("lattice", "--dim", "2", "--n", "0") == 0
+    assert json.loads(capsys.readouterr().out)["orthogonality"] == [[0, 0], [0, 0]]
+
+
 def test_lattice_command_rejects_bad_arguments(capsys):
     assert run_cli("lattice", "--dim", "0", "--n", "5") == 2
     assert "d must be >= 1" in capsys.readouterr().err

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arw import lattice
-from arw.errors import EmptyShell, UnknownPolicy
+from arw.errors import EmptyShell, UnknownPolicy, ValidationError
 
 from oracles import box_counts
 
@@ -49,6 +49,18 @@ def test_points_lexicographic_and_antipodal():
     for p in shell.half_points:
         first = next(v for v in p if v != 0)
         assert first > 0
+
+
+def test_enumeration_depth_does_not_grow_with_d():
+    # more coordinates than Python's recursion limit
+    d = 1100
+    assert lattice.enumerate_shell(2000, 0).points.tolist() == [[0] * 2000]
+    units = [tuple(-1 if i == j else 0 for i in range(d)) for j in range(d)]
+    units += [tuple(-v for v in p) for p in reversed(units)]
+    assert lattice._enumerate_points(d, 1) == units
+    assert [lattice._enumerate_points(1, n) for n in (0, 2, 9)] == [[(0,)], [], [(-3,), (3,)]]
+    with pytest.raises(ValidationError):
+        lattice.equidistribution_report(lattice.enumerate_shell(3, 0))
 
 
 def test_representation_count_examples():
