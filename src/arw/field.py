@@ -10,8 +10,11 @@ with N the shell size.  Evaluation is available both on regular periodic
 grids and pointwise (direct summation), and the two must agree.  Grids
 are built by pruned real synthesis (Markel 1971): the field has at most
 2*sqrt(n) + 1 distinct frequencies per axis, so the leading axes are
-expanded by small DFT matrices over those frequencies and only the last
-axis runs a real inverse FFT; no full M^d complex spectrum is formed.
+expanded by small DFT matrices over those frequencies, and no full M^d
+complex spectrum is formed.  The last axis holds at most floor(sqrt(n)) + 1
+nonnegative frequencies (bins).  When 16 * bins <= M it is finished by one
+real matrix product with a (2 * bins) x M table of inverse FFTs of unit
+bins, otherwise by a real inverse FFT of length M (see `eval_grid`).
 
 Complex amplitude convention (single source of truth): the value placed at
 frequency +lambda is (a - i*b)/2 * sqrt(2/N), and its conjugate sits at
@@ -199,10 +202,25 @@ def _amplitudes(sample: WaveSample, derivative: tuple[int, ...]) -> np.ndarray:
 def eval_grid(sample: WaveSample, M: int, derivative: tuple[int, ...] = ()) -> FieldGrid:
     """Evaluate on the M^d periodic grid by pruned real synthesis.
 
-    Each +-lambda pair is folded onto its member with lambda_d >= 0.  The
-    leading axes are expanded one at a time by an M x k DFT matrix over
-    that axis's k distinct frequencies (k <= 2*sqrt(n) + 1), and one real
-    inverse FFT of length M along the last axis finishes the grid.
+    Each +-lambda pair is folded onto its member with lambda_d >= 0, which
+    leaves `bins` = max lambda_d + 1 last-axis bins.  The leading axes are
+    expanded one at a time by an M x k DFT matrix over that axis's k
+    distinct frequencies (k <= 2*sqrt(n) + 1).  The last axis is finished
+    in one of two ways, chosen from the input alone:
+
+    - 16 * bins <= M (every per_L:16 grid at 2M, and at M when n is not
+      a square): one real product [rows.real | rows.imag] @ table, with
+      table = irfft([I; i*I], n=M), a (2 * bins) x M matrix.  A row with
+      one nonzero bin c is exactly Re c * irfft(unit) + Im c *
+      irfft(i * unit), so it keeps irfft's exact zeros (pure modes) and
+      is within rounding of irfft.
+    - otherwise: one real inverse FFT of length M.
+
+    Measured on one thread of a 2-core Xeon VM: at d=2, M=1088 (34 bins)
+    the product takes 5 ms against 17 ms for irfft; the crossover lies
+    near M = 8 * bins (M = 160 to 1088); at the alias floor the product
+    is 8x slower (n = 10^6, M = 2001).
+
     Requires M alias-free (M >= 2*floor(sqrt(n)) + 1), which also keeps
     every folded lambda_d below the Nyquist bin M/2.
     """
@@ -226,12 +244,19 @@ def eval_grid(sample: WaveSample, M: int, derivative: tuple[int, ...] = ()) -> F
         index.append(inverse)
         phase = np.mod(np.outer(np.arange(M), freqs), M)  # exact integer phases
         dfts.append(np.exp((2j * np.pi / M) * phase))
-    shape = [dft.shape[1] for dft in dfts] + [int(lam[:, -1].max()) + 1]
-    spectrum = np.zeros(shape, dtype=np.complex128)
+    bins = int(lam[:, -1].max()) + 1
+    spectrum = np.zeros([dft.shape[1] for dft in dfts] + [bins], dtype=np.complex128)
     spectrum[tuple(index) + (lam[:, -1],)] = amp
     for axis, dft in enumerate(dfts):
         spectrum = np.moveaxis(np.tensordot(dft, spectrum, axes=(1, axis)), 0, axis)
-    values = sfft.irfft(spectrum, n=M, axis=-1, norm="forward")
+    if 16 * bins <= M:
+        # row b of the table is irfft of a unit at bin b, row bins + b of i
+        eye = np.eye(bins)
+        table = sfft.irfft(np.concatenate([eye, 1j * eye]), n=M, axis=-1, norm="forward")
+        rows = spectrum.reshape(-1, bins)
+        values = (np.concatenate([rows.real, rows.imag], axis=1) @ table).reshape((M,) * d)
+    else:
+        values = sfft.irfft(spectrum, n=M, axis=-1, norm="forward")
     values.setflags(write=False)
     return FieldGrid(
         d=d,

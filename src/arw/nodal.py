@@ -424,7 +424,9 @@ def _coarsen(fine: FieldGrid) -> FieldGrid:
 
 
 def _mu_floor(sample: WaveSample) -> float:
-    # FFT noise scale: treat vertex margins at rounding level as zero
+    # synthesis noise scale: treat vertex margins at rounding level as zero.
+    # eval_grid's two last-axis paths (irfft, or the product with a table of
+    # unit-bin irffts when 16 * bins <= M) agree to about 1e-15 relative.
     b1 = 2.0 * np.pi * sample.shell.L * sample.coeff_l1_bound()
     return 1e-10 * max(1.0, b1)
 

@@ -312,3 +312,16 @@ def flood_fill_components_nd(signs: np.ndarray):
         if len(_signs_at(signs, idx, every)) == 2
     ]
     return _periodic_flood(shape, nodes, steps)
+
+
+def full_spectrum_grid(shell, a, b, M: int, derivative=()) -> np.ndarray:
+    """f (or one derivative) on the M^d grid from the whole complex M^d
+    spectrum and one inverse `ifftn`: no pruning, no real transform."""
+    lam = shell.half_points.astype(np.int64)
+    amp = (np.asarray(a) - 1j * np.asarray(b)) * (0.5 * math.sqrt(2.0 / shell.dim_HL))
+    for axis in derivative:
+        amp = amp * (2j * math.pi * lam[:, axis])
+    spectrum = np.zeros((M,) * shell.d, dtype=np.complex128)
+    np.add.at(spectrum, tuple((lam % M).T), amp)
+    np.add.at(spectrum, tuple((-lam % M).T), np.conj(amp))
+    return np.fft.ifftn(spectrum, norm="forward").real

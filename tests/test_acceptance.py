@@ -225,9 +225,11 @@ def test_criterion_09_concentration_trend(d2_sequence_records):
             inversions.append(v2 - v1 <= 2 * (s1 + s2))
     monotone = len(inversions) == 0 or (len(inversions) == 1 and inversions[0])
 
-    # epsilon scale: at n=5 the scaled count is a multiple of 1/5, so only
-    # epsilons at or above that atom spacing measure spread rather than
-    # integer discreteness; these span ~25-95% of the observed median
+    # epsilon scale: at odd n in d=2 the domains pair up under the half
+    # shift, so k = r is even and at n=5 the scaled count is a multiple of
+    # 2/5.  Every epsilon here lies below that atom spacing, so at n=5 each
+    # tail frequency is the share of trials whose k is not the median k;
+    # these epsilons span ~25-95% of the observed median
     epsilons = (0.05, 0.1, 0.15, 0.2)
     all_records = [rec for n in SEQ_DIMS_N for rec in d2_sequence_records[n]]
     report = experiments.concentration_report(all_records, epsilons=epsilons, min_trials=500)

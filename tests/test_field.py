@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -7,7 +12,7 @@ from arw import field, gridio, lattice
 from arw.errors import AliasError, DegenerateIntegral, MemoryBudgetExceeded, ValidationError
 from arw.rng import stream
 
-from oracles import chi_square_tail_bound, mc_sphere_cosine_average
+from oracles import chi_square_tail_bound, full_spectrum_grid, mc_sphere_cosine_average
 
 
 @pytest.fixture
@@ -107,6 +112,134 @@ def test_eval_grid_even_slice_of_doubled_grid():
             coarse = field.eval_grid(sample, M, tag).values
             scale = max(1.0, float(np.max(np.abs(coarse))))
             assert np.max(np.abs(fine - coarse)) <= 1e-12 * scale
+
+
+def _last_axis_bins(shell):
+    return int(np.abs(shell.half_points[:, -1]).max()) + 1
+
+
+def _spy_last_axis(monkeypatch):
+    """Record the input shape of every irfft `eval_grid` makes: (2*bins,
+    bins) builds the table of the product path, anything else is the
+    irfft path's spectrum."""
+    shapes = []
+
+    def irfft(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return field_fft.irfft(x, *args, **kwargs)
+
+    field_fft = field.sfft
+    monkeypatch.setattr(field, "sfft", types.SimpleNamespace(irfft=irfft))
+    return shapes
+
+
+def test_last_axis_product_matches_full_fft_and_points(monkeypatch):
+    # M one below, at and one above 16*bins: irfft, then the product on an
+    # even and on an odd M; every first and second derivative
+    shapes = _spy_last_axis(monkeypatch)
+    rng = np.random.default_rng(12)
+    for d, n in ((1, 25), (2, 25), (3, 5), (4, 3)):
+        sample = field.sample_coefficients(lattice.enumerate_shell(d, n), 41, d)
+        bins = _last_axis_bins(sample.shell)
+        tags = [()] + [(i,) for i in range(d)] + [(i, j) for i in range(d) for j in range(i, d)]
+        for M in (16 * bins - 1, 16 * bins, 16 * bins + 1):
+            idx = rng.integers(0, M, size=(64, d))
+            for tag in tags:
+                shapes.clear()
+                grid = field.eval_grid(sample, M, tag).values
+                product = shapes == [(2 * bins, bins)]
+                assert product == (M >= 16 * bins), (d, M, shapes)
+                full = full_spectrum_grid(sample.shell, sample.a, sample.b, M, tag)
+                direct = field.eval_points(sample, idx / M, tag)
+                scale = max(1.0, float(np.max(np.abs(full))))
+                assert np.max(np.abs(grid - full)) <= 1e-9 * scale, (d, M, tag)
+                assert np.max(np.abs(grid[tuple(idx.T)] - direct)) <= 1e-9 * scale, (d, M, tag)
+
+
+def test_even_slice_of_product_grid_matches_irfft_grid(monkeypatch):
+    # per_L:16 at a square n (n=25) and a 2M pair straddling the rule at
+    # n=1105: the coarse grid runs irfft, its doubled grid the product
+    shapes = _spy_last_axis(monkeypatch)
+    for n, M in ((25, 80), (1105, 272)):
+        sample = field.sample_coefficients(lattice.enumerate_shell(2, n), 43, 0)
+        bins = _last_axis_bins(sample.shell)
+        for tag in ((), (0,), (1,)):
+            shapes.clear()
+            coarse = field.eval_grid(sample, M, tag).values
+            fine = field.eval_grid(sample, 2 * M, tag).values[::2, ::2]
+            assert shapes[0] != (2 * bins, bins) and shapes[1:] == [(2 * bins, bins)]
+            scale = max(1.0, float(np.max(np.abs(coarse))))
+            assert np.max(np.abs(fine - coarse)) <= 1e-12 * scale, (n, tag)
+
+
+def test_one_bin_rows_of_the_product_keep_irfft_zeros():
+    # the pure mode of lambda = (0, 1) puts one bin c in every spectrum row,
+    # so each grid row is exactly Re c * irfft(unit) + Im c * irfft(i * unit):
+    # it has irfft's exact zeros and is within rounding of irfft(c * unit)
+    shell = lattice.enumerate_shell(2, 1)
+    k = next(i for i, lam in enumerate(shell.half_points) if lam[0] == 0)
+    for kind in ("cos", "sin"):
+        sample = field.pure_mode(shell, (0, 1), kind)
+        for M in (32, 48, 64):
+            unit = np.array([0.0, 1.0])
+            table = [field.sfft.irfft(z * unit, n=M, norm="forward") for z in (1.0, 1j)]
+            for tag in ((), (1,), (1, 1)):
+                amp = field._amplitudes(sample, tag)[k]
+                c = amp if shell.half_points[k][1] > 0 else np.conj(amp)
+                row = field.sfft.irfft(c * unit, n=M, norm="forward")
+                grid = field.eval_grid(sample, M, tag).values
+                exact = c.real * table[0] + c.imag * table[1]
+                assert np.array_equal(grid, np.broadcast_to(exact, (M, M))), (kind, M, tag)
+                assert np.array_equal(grid == 0.0, np.broadcast_to(row == 0.0, (M, M)))
+                assert np.max(np.abs(grid - row)) <= 4e-16 * np.max(np.abs(row))
+    cos_x1 = field.eval_grid(field.pure_mode(shell, (0, 1), "cos"), 32).values
+    assert np.count_nonzero(cos_x1 == 0.0) == 2 * 32
+
+
+@pytest.mark.parametrize(
+    "d, n, M",
+    [(2, 1105, 1088), (3, 17, 160), (2, 25, 80)],
+    ids=["d2-1105", "d3-17", "d2-25-irfft"],
+)
+def test_half_shift_flips_odd_n(d, n, M):
+    # lambda_1 + ... + lambda_d = |lambda|^2 = n (mod 2), so
+    # f(x + (1/2, ..., 1/2)) = (-1)^n f(x), and so is every derivative;
+    # on an even M the shift is a roll by M/2 along every axis
+    sample = field.sample_coefficients(lattice.enumerate_shell(d, n), 5150, 0)
+    for tag in [()] + [(i,) for i in range(d)]:
+        values = field.eval_grid(sample, M, tag).values
+        rolled = np.roll(values, M // 2, axis=tuple(range(d)))
+        scale = max(1.0, float(np.max(np.abs(values))))
+        assert np.max(np.abs(rolled - (-1) ** n * values)) <= 1e-12 * scale, tag
+
+
+def test_grids_do_not_depend_on_blas_threads():
+    # eval_grid's last-axis product runs in BLAS, and records must not
+    # depend on its thread count
+    script = (
+        "import hashlib, json\n"
+        "from arw import field, lattice\n"
+        "out = []\n"
+        "for d, n, M, tags in ((2, 1105, 1088, 3), (2, 325, 576, 3), (2, 65, 288, 3),\n"
+        "                      (3, 17, 160, 4), (2, 5, 96, 2)):\n"
+        "    sample = field.sample_coefficients(lattice.enumerate_shell(d, n), 77, 1)\n"
+        "    for tag in ([()] + [(i,) for i in range(d)])[:tags]:\n"
+        "        values = field.eval_grid(sample, M, tag).values\n"
+        "        out.append(hashlib.sha256(values.tobytes()).hexdigest())\n"
+        "print(json.dumps(out))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+    assert len(digests[0]) == 15
+    assert digests[0] == digests[1]
 
 
 def test_bad_arguments_raise_validation_error(shell_2_25):
