@@ -219,11 +219,13 @@ class ConcentrationReport:
     slopes: dict[float, Optional[float]] = field(default_factory=dict)
 
 
-def _group_by_n(records: Sequence[TrialRecord]) -> dict[int, list[TrialRecord]]:
+def _certified_by_n(records: Sequence[TrialRecord]) -> list[tuple[int, int, list[TrialRecord]]]:
+    """(n, trial count, certified records) for each n, by ascending n."""
     groups: dict[int, list[TrialRecord]] = {}
     for rec in records:
         groups.setdefault(rec.n, []).append(rec)
-    return groups
+    return [(n, len(recs), [rec for rec in recs if rec.certified])
+            for n, recs in sorted(groups.items())]
 
 
 def concentration_report(
@@ -239,10 +241,10 @@ def concentration_report(
     log(frequency) vs dim_HL using only strictly positive frequencies and
     at least three support points.
     """
-    groups = _group_by_n(records)
+    groups = _certified_by_n(records)
     if not groups:
         raise InsufficientTrials("no records")
-    certified_all = [rec.scaled_count for rec in records if rec.certified]
+    certified_all = [rec.scaled_count for _, _, cert in groups for rec in cert]
     if not certified_all:
         raise InsufficientTrials("no certified records")
     if epsilons is None:
@@ -252,9 +254,7 @@ def concentration_report(
         epsilons = tuple(float(e) for e in epsilons)
 
     per_n: list[PerNStats] = []
-    for n in sorted(groups):
-        recs = groups[n]
-        cert = [rec for rec in recs if rec.certified]
+    for n, trials, cert in groups:
         if len(cert) < min_trials:
             raise InsufficientTrials(f"n={n}: {len(cert)} certified trials < {min_trials}")
         values = np.array([rec.scaled_count for rec in cert])
@@ -266,9 +266,9 @@ def concentration_report(
             PerNStats(
                 n=n,
                 dim_HL=cert[0].dim_HL,
-                trials=len(recs),
+                trials=trials,
                 certified_trials=len(cert),
-                uncertified_fraction=1.0 - len(cert) / len(recs),
+                uncertified_fraction=1.0 - len(cert) / trials,
                 mean=float(np.mean(values)),
                 median=med,
                 variance=float(np.var(values, ddof=1)) if len(cert) > 1 else 0.0,
@@ -298,25 +298,19 @@ class NuEstimate:
 def nu_estimate(records: Sequence[TrialRecord]) -> NuEstimate:
     """Mean of k/L^d per n; the estimate is the mean at the largest n, with
     the relative gap to the second largest as the stabilization measure."""
-    groups = _group_by_n(records)
-    means: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    stds: dict[int, float] = {}
-    for n, recs in groups.items():
-        vals = [rec.scaled_count for rec in recs if rec.certified]
-        if vals:
-            means[n] = float(np.mean(vals))
-            counts[n] = len(vals)
-            stds[n] = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
-    if len(means) < 2:
+    levels = [
+        (n, [rec.scaled_count for rec in cert]) for n, _, cert in _certified_by_n(records) if cert
+    ]
+    if len(levels) < 2:
         raise InsufficientTrials("need certified trials at >= 2 distinct n")
-    ordered = sorted(means)
-    top, second = ordered[-1], ordered[-2]
+    means = {n: float(np.mean(vals)) for n, vals in levels}
+    (second, _), (top, top_vals) = levels[-2:]
     gap = abs(means[top] - means[second]) / means[top] if means[top] else math.inf
+    std = float(np.std(top_vals, ddof=1)) if len(top_vals) > 1 else 0.0
     return NuEstimate(
         per_n_mean=means,
         nu_hat=means[top],
-        std_error=stds[top] / math.sqrt(counts[top]),
+        std_error=std / math.sqrt(len(top_vals)),
         stabilization_gap=gap,
     )
 
@@ -324,12 +318,10 @@ def nu_estimate(records: Sequence[TrialRecord]) -> NuEstimate:
 def diameter_scaling(records: Sequence[TrialRecord], d: int) -> float:
     """Least-squares exponent of mean total component diameter against
     L = sqrt(n); the trigonometric degree bound predicts d-1."""
-    groups = _group_by_n(records)
     xs, ys = [], []
-    for n in sorted(groups):
-        vals = [rec.sum_diameters for rec in groups[n] if rec.certified]
-        if vals:
-            mean = float(np.mean(vals))
+    for n, _, cert in _certified_by_n(records):
+        if cert:
+            mean = float(np.mean([rec.sum_diameters for rec in cert]))
             if mean > 0:
                 xs.append(0.5 * math.log(n))
                 ys.append(math.log(mean))
@@ -369,6 +361,11 @@ def _run_experiment(config) -> None:
         ns = sorted(config.n_values)
     else:
         ns = admissible_sequence(config.d, config.n_min, config.n_max, config.policy)
+        if not ns:
+            raise ValidationError(
+                f"experiment.policy {config.policy!r} admits no n in "
+                f"{config.n_min} <= n <= {config.n_max} at d={config.d}"
+            )
     m_policy = MPolicy.parse(config.m_policy)
     records: list[TrialRecord] = []
     for n in ns:

@@ -18,6 +18,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from typing import Optional
 
 import numpy as np
@@ -144,7 +145,12 @@ def enumerate_shell(d: int, n: int) -> LatticeShell:
 
 def _square_count_table(n_max: int) -> np.ndarray:
     """R1[m] = number of integers a with a^2 = m, for 0 <= m <= n_max."""
-    table = np.zeros(n_max + 1, dtype=np.int64)
+    try:
+        table = np.zeros(n_max + 1, dtype=np.int64)
+    except (ValueError, MemoryError):  # NumPy refuses or fails the allocation
+        raise Overflow(
+            f"n={n_max}: a table of {n_max + 1} square counts cannot be allocated"
+        ) from None
     table[0] = 1
     a = 1
     while a * a <= n_max:
@@ -173,15 +179,14 @@ def _rep_table(k: int, n_max: int) -> np.ndarray:
         # r_k(m + 1) >= 2 * r_(k-1)(m), so past this bound the table overflows
         if int(prev[:size].max(initial=0)) > INT64_MAX // 2:
             raise Overflow(f"r_{k}(m) exceeds 64-bit range for some m <= {size}")
+        twice = 2 * prev[:size]
         table = prev.copy()  # a = 0 term
-        a = 1
-        while a * a <= size:
+        for a in range(1, math.isqrt(size) + 1):
             sq = a * a
-            table[sq:] += 2 * prev[: size + 1 - sq]
+            table[sq:] += twice[: size + 1 - sq]
             # both addends are nonnegative, so a sum past int64 wraps negative
             if table[sq:].min() < 0:
                 raise Overflow(f"r_{k}(m) exceeds 64-bit range for some m <= {size}")
-            a += 1
     _REP_TABLE_CACHE[k] = table
     return table[: n_max + 1]
 
@@ -345,40 +350,24 @@ def admissible_sequence(
         raise UnknownPolicy(f"policy {policy!r}; expected one of {POLICIES}")
     _check_n(n_max)
 
-    candidates = [n for n in range(max(n_min, 1), n_max + 1) if representation_count(d, n) > 0]
+    sizes = {n: representation_count(d, n) for n in range(max(n_min, 1), n_max + 1)}
+    candidates = [n for n, size in sizes.items() if size > 0]
 
     if policy == "all":
         return candidates
     if policy == "congruence_d3":
         return [n for n in candidates if n % 8 not in (0, 4, 7)]
     if policy == "bounded_two_adic":
-        kept = []
-        for n in candidates:
-            v, m = 0, n
-            while m % 2 == 0:
-                m //= 2
-                v += 1
-            if v <= v_max:
-                kept.append(n)
-        return kept
+        return [n for n in candidates if (n & -n).bit_length() - 1 <= v_max]
     if policy == "top_by_dim":
-        kept = []
-        lo = max(n_min, 1)
-        k = lo.bit_length() - 1
-        while 2**k <= n_max:
-            window = [n for n in candidates if 2**k <= n < 2 ** (k + 1)]
-            if window:
-                dims = [representation_count(d, n) for n in window]
-                kept.append(window[int(np.argmax(dims))])  # ties: first, i.e. smallest n
-            k += 1
-        return kept
+        # one window per dyadic range [2^k, 2^(k+1)); max keeps the first,
+        # i.e. smallest, n of a tie
+        return [max(window, key=sizes.get) for _, window in groupby(candidates, int.bit_length)]
     # diagnostic_threshold
-    kept = []
-    for n in candidates:
-        report = equidistribution_report(enumerate_shell(d, n))
-        if report.max_dev4 <= threshold:
-            kept.append(n)
-    return kept
+    return [
+        n for n in candidates
+        if equidistribution_report(enumerate_shell(d, n)).max_dev4 <= threshold
+    ]
 
 
 def ball_moment_sweep(d: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:

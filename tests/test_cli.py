@@ -4,7 +4,7 @@ import struct
 
 import pytest
 
-from arw import cli, experiments, gridio
+from arw import cli, experiments, gridio, lattice
 from arw.config import ExperimentConfig, canonicalize, from_ini, load_config
 from arw.errors import ConfigParseError, ValidationError
 
@@ -164,6 +164,25 @@ def test_count_rejects_empty_grid_header(tmp_path, capsys):
         assert "d >= 1 and M >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda blob: blob[:10], "truncated header"),
+        (lambda blob: blob[:4] + struct.pack("<I", 2) + blob[8:], "unsupported version 2"),
+        (lambda blob: blob[:-8], "data bytes"),
+    ],
+    ids=["truncated_header", "unsupported_version", "short_payload"],
+)
+def test_count_rejects_unreadable_grid_file(tmp_path, capsys, damage, message):
+    out = tmp_path / "field.bin"
+    run_cli("sample", "--dim", "2", "--n", "25", "--seed", "5", "--trial", "0",
+            "--grid", "16", "--out", str(out))
+    out.write_bytes(damage(out.read_bytes()))
+    assert run_cli("count", "--in", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+
 def test_count_with_gradient_files(tmp_path):
     from arw import field, lattice
 
@@ -316,10 +335,12 @@ def test_malformed_memory_budget_exit_code(tmp_path, monkeypatch, capsys):
         ("m_policy = fixed:0", "must be >= 1"),
         ("n_values = 5,7", "n_values [7] are not sums of 2 squares"),
         ("master_seed = -1", "master_seed must be >= 0"),
+        ("policy = all\nn_min = 3\nn_max = 3", "policy 'all' admits no n in 3 <= n <= 3"),
+        ("policy = all\nn_min = 9\nn_max = 3", "must satisfy 1 <= n_min <= n_max"),
     ],
     ids=[
         "n_zero", "n_repeated", "epsilon_nan", "per_L_negative", "fixed_zero", "n_empty_shell",
-        "seed_negative",
+        "seed_negative", "policy_admits_no_n", "n_range_reversed",
     ],
 )
 def test_experiment_rejects_bad_config_values(tmp_path, capsys, line, message):
@@ -332,6 +353,32 @@ def test_experiment_rejects_bad_config_values(tmp_path, capsys, line, message):
     assert run_cli("experiment", "--config", str(config)) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_experiment_unallocatable_n_exit_code(tmp_path, capsys):
+    # NumPy refuses a table of 2^62 + 1 square counts without allocating it
+    n = 2**62
+    text = MINIMAL_CONFIG.format(csv=tmp_path / "t.csv", report=tmp_path / "r.json")
+    config = tmp_path / "run.ini"
+    config.write_text(text.replace("n_values = 25", f"n_values = {n}"))
+    assert run_cli("experiment", "--config", str(config)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and f"n={n}" in err[0]
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_experiment_runs_a_sequence_policy(tmp_path):
+    text = MINIMAL_CONFIG.format(csv=tmp_path / "t.csv", report=tmp_path / "r.json")
+    text = text.replace(
+        "policy = explicit\nn_values = 25", "policy = top_by_dim\nn_min = 1\nn_max = 40"
+    )
+    config = tmp_path / "run.ini"
+    config.write_text(text.replace("per_L:16", "per_L:4"))
+    assert run_cli("experiment", "--config", str(config)) == 0
+    expected = lattice.admissible_sequence(2, 1, 40, "top_by_dim")
+    column = [rec.n for rec in experiments.read_trials_csv(str(tmp_path / "t.csv"))]
+    assert column == [n for n in expected for _ in range(2)]
+    assert json.loads((tmp_path / "r.json").read_text())["n_values"] == expected
 
 
 def test_experiment_memory_guard_exit_code(tmp_path, capsys):

@@ -70,7 +70,7 @@ def test_representation_count_examples():
 
 
 def test_representation_count_matches_box_small():
-    for d in (2, 3, 4, 5):
+    for d in (1, 2, 3, 4, 5):
         counts = box_counts(d, 60)
         for n in range(1, 61):
             assert lattice.representation_count(d, n) == counts[n]
