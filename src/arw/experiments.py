@@ -239,7 +239,8 @@ def concentration_report(
     reported.  The default epsilon list scales {1%, 2%, 5%, 10%} of the
     pooled certified median.  Tail-decay slopes are fitted per epsilon on
     log(frequency) vs dim_HL using only strictly positive frequencies and
-    at least three support points.
+    at least three support points.  An n with fewer than max(min_trials, 1)
+    certified trials raises InsufficientTrials naming that n.
     """
     groups = _certified_by_n(records)
     if not groups:
@@ -247,6 +248,10 @@ def concentration_report(
     certified_all = [rec.scaled_count for _, _, cert in groups for rec in cert]
     if not certified_all:
         raise InsufficientTrials("no certified records")
+    need = max(min_trials, 1)
+    for n, _, cert in groups:
+        if len(cert) < need:
+            raise InsufficientTrials(f"n={n}: {len(cert)} certified trials < {need}")
     if epsilons is None:
         base = float(np.median(certified_all))
         epsilons = tuple(round(f * base, 12) for f in (0.01, 0.02, 0.05, 0.1))
@@ -255,8 +260,6 @@ def concentration_report(
 
     per_n: list[PerNStats] = []
     for n, trials, cert in groups:
-        if len(cert) < min_trials:
-            raise InsufficientTrials(f"n={n}: {len(cert)} certified trials < {min_trials}")
         values = np.array([rec.scaled_count for rec in cert])
         med = float(np.median(values))
         tails = {

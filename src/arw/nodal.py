@@ -135,31 +135,19 @@ class _OffsetUnionFind:
         self.offset[ry] = tuple(map(sub, want, oy))
 
 
-@dataclass(frozen=True)
-class PeriodicLabeling:
-    """Components of a periodic graph of in-grid patches.
-
-    Components are 0-based and ordered by their smallest `first` key.
-    `cells[c]` counts the component's nodes and `wraps[c]` marks
-    components with no consistent lift.  Per in-grid patch p, `comp[p]`
-    is its component and `lift[p]` its offset in Z^d from the
-    component's root patch.
-    """
-
-    count: int
-    cells: np.ndarray = field(repr=False)
-    wraps: np.ndarray = field(repr=False)
-    comp: np.ndarray = field(repr=False)
-    lift: np.ndarray = field(repr=False)
-
-
-def _merge_patches(d: int, first, cells, links) -> PeriodicLabeling:
+def _merge_patches(d: int, first, cells, links):
     """Merge in-grid patches into periodic components (Newman & Ziff, 2001).
 
     Patches are numbered from 0 and the kernel never sees the grid.  Per
     patch, `first` is its smallest raster key and `cells` its node count.
     `links` lists array triples (pa, pb, rel) declaring
     lift(pb) = lift(pa) + rel across seams and saddles.
+
+    Returns (count, cells, wraps, comp, lift).  Components are 0-based and
+    ordered by their smallest `first` key; per component, `cells` counts
+    its nodes (int64) and `wraps` marks those with no consistent lift.
+    Per patch, `comp` is its component and `lift` (npatch, d) its offset
+    in Z^d from the component's root patch.
     """
     npatch = len(cells)
     rows = np.column_stack([np.concatenate(part) for part in zip(*links)])
@@ -185,13 +173,8 @@ def _merge_patches(d: int, first, cells, links) -> PeriodicLabeling:
 
     wraps = np.zeros(count, dtype=bool)
     wraps[comp[list(uf.wrapped)]] = True
-    return PeriodicLabeling(
-        count=count,
-        cells=np.bincount(comp, weights=cells, minlength=count).astype(np.int64),
-        wraps=wraps,
-        comp=comp,
-        lift=offset,
-    )
+    cells = np.bincount(comp, weights=cells, minlength=count).astype(np.int64)
+    return count, cells, wraps, comp, offset
 
 
 def _first_sites(labels: np.ndarray, count: int) -> np.ndarray:
@@ -238,11 +221,10 @@ def count_domains(sg: SignGrid) -> tuple[int, np.ndarray, np.ndarray]:
                 patches[tuple(c % M for c in ub)] - 1,
                 M * np.column_stack([b // M - a // M for a, b in zip(ua, ub)]),  # seams crossed
             ))
-    lab = _merge_patches(d, first, cells, links)
+    r, comp_cells, _, comp, _ = _merge_patches(d, first, cells, links)
     table = np.zeros(len(cells) + 1, dtype=np.int32)
-    table[1:] = lab.comp + 1
-    volumes = lab.cells.astype(float) / float(M**d)
-    return lab.count, volumes, table[patches]
+    table[1:] = comp + 1
+    return r, comp_cells.astype(float) / float(M**d), table[patches]
 
 
 def _mixed(signs: np.ndarray, axes) -> np.ndarray:
@@ -275,17 +257,19 @@ def count_components(
     # nodes are numbered in raster order of their cells; in d=2 a
     # checkerboard cell's second node, the zero-curve segment that does not
     # touch its S face, takes the id right after its first
-    node_of = np.zeros(sg.signs.size, dtype=np.int32)
-    node_of[sites] = np.arange(len(sites))
+    first_node = np.arange(len(sites), dtype=np.int32)
     node_cells = sites
     out_second = in_second = [None] * d
     if d == 2:
         main, anti = sg.saddles
-        twin = (main | anti).ravel()[sites]
-        node_of[sites] += np.cumsum(twin) - twin
+        saddle = main | anti
+        twin = saddle.ravel()[sites]
+        first_node += np.cumsum(twin, dtype=np.int32) - twin
         node_cells = np.repeat(sites, 1 + twin)
         # the center sign pairs faces (S,E)+(W,N) on `main`, (W,S)+(E,N) on `anti`
-        out_second, in_second = (anti, main | anti), (main, None)
+        out_second, in_second = (anti, saddle), (main, None)
+    node_of = np.zeros(sg.signs.size, dtype=np.int32)
+    node_of[sites] = first_node
 
     def node(cell: np.ndarray, second) -> np.ndarray:
         return node_of[cell] if second is None else node_of[cell] + second.ravel()[cell]
@@ -311,21 +295,21 @@ def count_components(
     cells = np.bincount(patch_of_node, minlength=npatch)
     links = [(patch_of_node[a], patch_of_node[b], rel) for a, b, rel in seam]
 
-    lab = _merge_patches(d, first, cells, links)
-    comp_of_node = lab.comp[patch_of_node]
+    k, comp_cells, wraps, comp, lift = _merge_patches(d, first, cells, links)
+    comp_of_node = comp[patch_of_node]
     # lifted box [lo, hi] of each component, one 1-D reduction per axis
-    lo = np.full((d, lab.count), np.iinfo(np.int64).max)
-    hi = np.full((d, lab.count), np.iinfo(np.int64).min)
+    lo = np.full((d, k), np.iinfo(np.int64).max)
+    hi = np.full((d, k), np.iinfo(np.int64).min)
     for axis, coord in enumerate(np.unravel_index(node_cells, sg.signs.shape)):
-        lifted = coord + lab.lift[patch_of_node, axis]
+        lifted = coord + lift[patch_of_node, axis]
         np.minimum.at(lo[axis], comp_of_node, lifted)
         np.maximum.at(hi[axis], comp_of_node, lifted)
     h = 1.0 / M
     diameters = h * np.sqrt(np.sum((hi - lo + 1).astype(float) ** 2, axis=0))
-    diameters[lab.wraps] = 0.5
+    diameters[wraps] = 0.5
     labels = np.zeros(sg.signs.shape, dtype=np.int32)
-    np.put(labels, sites, comp_of_node[node_of[sites]] + 1)
-    return lab.count, lab.cells, diameters, lab.wraps, labels
+    np.put(labels, sites, comp_of_node[first_node] + 1)
+    return k, comp_cells, diameters, wraps, labels
 
 
 @dataclass(frozen=True)
@@ -416,13 +400,6 @@ def _count(value: FieldGrid) -> NodalSummary:
     )
 
 
-def _coarsen(fine: FieldGrid) -> FieldGrid:
-    """The grid at M = fine.M / 2: the fine grid's even-index vertices."""
-    values = np.ascontiguousarray(fine.values[(slice(None, None, 2),) * fine.d])
-    values.setflags(write=False)
-    return replace(fine, M=fine.M // 2, values=values)
-
-
 def _mu_floor(sample: WaveSample) -> float:
     # synthesis noise scale: treat vertex margins at rounding level as zero.
     # eval_grid's two last-axis paths (irfft, or the product with a table of
@@ -443,8 +420,9 @@ def _settled(history: list[tuple[int, int]]) -> bool:
 def analyze(sample: WaveSample, M: int, auto_refine: bool = False) -> NodalSummary:
     """Full nodal pipeline: signs, domains, components, margins.
 
-    The 2M grid is synthesized once, and the M counts come from its
-    even-index vertices; if the budget refuses 2M, M alone is analyzed.
+    The 2M grid is synthesized once, and the M counts read its even-index
+    vertices through a strided view; if the budget refuses 2M, M alone is
+    analyzed.
     With `auto_refine`, the grid keeps doubling until (k, r) are unchanged
     for two consecutive refinements or the memory budget is hit.  The
     summary reports the finest grid computed, with its component labels;
@@ -468,7 +446,9 @@ def analyze(sample: WaveSample, M: int, auto_refine: bool = False) -> NodalSumma
     except MemoryBudgetExceeded:
         value = eval_grid(sample, M)
     else:
-        coarse = _count(_coarsen(value))
+        coarse = _count(
+            replace(value, M=M, values=value.values[(slice(None, None, 2),) * value.d])
+        )
         history.append((coarse.k, coarse.r))
     summary = _count(value)
     history.append((summary.k, summary.r))

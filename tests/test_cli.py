@@ -4,7 +4,7 @@ import struct
 
 import pytest
 
-from arw import cli, experiments, gridio, lattice
+from arw import cli, experiments, field, gridio, lattice, nodal
 from arw.config import ExperimentConfig, canonicalize, from_ini, load_config
 from arw.errors import ConfigParseError, ValidationError
 
@@ -337,10 +337,20 @@ def test_malformed_memory_budget_exit_code(tmp_path, monkeypatch, capsys):
         ("master_seed = -1", "master_seed must be >= 0"),
         ("policy = all\nn_min = 3\nn_max = 3", "policy 'all' admits no n in 3 <= n <= 3"),
         ("policy = all\nn_min = 9\nn_max = 3", "must satisfy 1 <= n_min <= n_max"),
+        ("d = 1", "experiment.d must be >= 2"),
+        ("policy = nope", "experiment.policy 'nope'"),
+        ("trials = 0", "experiment.trials must be >= 1"),
+        ("parallelism = 0", "experiment.parallelism must be >= 1"),
+        ("memory_budget_mb = -1", "experiment.memory_budget_mb must be >= 0"),
+        ("trials = two", "experiment.trials: 'two' is not an integer"),
+        ("trials 2", "malformed config at line 3"),
+        ("trials = 3\ntrials = 4", "option 'trials' in section 'experiment' already exists"),
     ],
     ids=[
         "n_zero", "n_repeated", "epsilon_nan", "per_L_negative", "fixed_zero", "n_empty_shell",
-        "seed_negative", "policy_admits_no_n", "n_range_reversed",
+        "seed_negative", "policy_admits_no_n", "n_range_reversed", "d_one", "policy_unknown",
+        "trials_zero", "parallelism_zero", "budget_negative", "trials_not_int",
+        "line_without_equals", "key_repeated",
     ],
 )
 def test_experiment_rejects_bad_config_values(tmp_path, capsys, line, message):
@@ -353,6 +363,39 @@ def test_experiment_rejects_bad_config_values(tmp_path, capsys, line, message):
     assert run_cli("experiment", "--config", str(config)) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "config_is_dir, extra, message",
+    [
+        (False, ["--report", ""], "output.csv and output.report are required"),
+        (True, [], "Is a directory"),
+    ],
+    ids=["report_empty", "config_is_directory"],
+)
+def test_experiment_rejects_bad_arguments(tmp_path, capsys, config_is_dir, extra, message):
+    config = tmp_path / "run.ini"
+    config.write_text(MINIMAL_CONFIG.format(csv=tmp_path / "t.csv", report=tmp_path / "r.json"))
+    path = tmp_path if config_is_dir else config
+    assert run_cli("experiment", "--config", str(path), *extra) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_experiment_runs_auto_refine(tmp_path):
+    text = MINIMAL_CONFIG.format(csv=tmp_path / "t.csv", report=tmp_path / "r.json")
+    text = text.replace("n_values = 25", "n_values = 5").replace("per_L:16", "auto_refine")
+    assert "m_policy = auto_refine" in canonicalize(text).splitlines()
+    config = tmp_path / "run.ini"
+    config.write_text(text)
+    assert run_cli("experiment", "--config", str(config)) == 0
+    records = experiments.read_trials_csv(str(tmp_path / "t.csv"))
+    assert [rec.trial_index for rec in records] == [0, 1]
+    shell = lattice.enumerate_shell(2, 5)
+    for rec in records:
+        sample = field.sample_coefficients(shell, rec.seed, rec.trial_index)
+        assert rec.M == nodal.analyze(sample, 5, auto_refine=True).M
 
 
 def test_experiment_unallocatable_n_exit_code(tmp_path, capsys):

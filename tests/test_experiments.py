@@ -122,6 +122,12 @@ def test_concentration_report_requires_trials():
         concentration_report(records, epsilons=[0.1])
 
 
+def test_concentration_report_rejects_n_without_certified_trials():
+    records = [synthetic_record(5, 4), synthetic_record(25, 9, certified=False)]
+    with pytest.raises(InsufficientTrials, match="n=25"):
+        concentration_report(records, min_trials=0)
+
+
 def test_concentration_report_synthetic_decay():
     # variance shrinking with dim: tail slope must come out negative
     rng = np.random.default_rng(0)

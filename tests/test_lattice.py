@@ -225,3 +225,24 @@ def test_rep_table_grows_geometrically(monkeypatch):
         if table is not last:
             builds, last = builds + 1, table
     assert builds <= 2 + math.log2(4000)
+
+
+def test_rep_table_per_square_overflow(monkeypatch):
+    from arw.errors import Overflow
+
+    # exact r_17 on 0..330 in Python integers: it first passes INT64_MAX at m = 330
+    exact = [1] + [0] * 330
+    for _ in range(17):
+        exact = [
+            sum(exact[m - a * a] * (2 if a else 1) for a in range(math.isqrt(m) + 1))
+            for m in range(331)
+        ]
+    assert max(exact[:330]) <= lattice.INT64_MAX < exact[330]
+    monkeypatch.setattr(lattice, "_REP_TABLE_CACHE", {})
+    assert lattice._rep_table(17, 329).tolist() == exact[:330]
+    # r_16 stays within INT64_MAX // 2, so the level check passes and the
+    # per-square check is the one that must catch the wrap
+    monkeypatch.setattr(lattice, "_REP_TABLE_CACHE", {})
+    assert int(lattice._rep_table(16, 330).max()) <= lattice.INT64_MAX // 2
+    with pytest.raises(Overflow):
+        lattice._rep_table(17, 330)
