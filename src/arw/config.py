@@ -129,6 +129,12 @@ def from_ini(text: str) -> ExperimentConfig:
     except configparser.ParsingError as exc:
         spots = "; ".join(f"line {number}" for number, _ in exc.errors)
         raise ConfigParseError(f"malformed config at {spots}") from exc
+    except configparser.DuplicateOptionError as exc:
+        raise ConfigParseError(
+            f"line {exc.lineno}: option {exc.option!r} in section {exc.section!r} already exists"
+        ) from exc
+    except configparser.DuplicateSectionError as exc:
+        raise ConfigParseError(f"line {exc.lineno}: section {exc.section!r} already exists") from exc
     except configparser.Error as exc:
         raise ConfigParseError(str(exc)) from exc
 
@@ -152,7 +158,7 @@ def load_config(path: str) -> ExperimentConfig:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
-        raise ConfigParseError(f"{path}: {exc}") from exc
+        raise ConfigParseError(f"{path}: {exc.strerror or exc}") from exc
     return from_ini(text)
 
 

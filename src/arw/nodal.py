@@ -9,8 +9,9 @@ to one kernel, `_merge_patches`.  It merges patches across the periodic
 seams and the d=2 saddle diagonals with an offset-tracking union-find
 (Newman & Ziff, 2001), which gives each patch its component and its
 lift to Z^d and detects components that wind around the torus
-(inconsistent lift).  Each count maps the components back onto its own
-grid; `count_components` reduces its nodes' lifted coordinates once per
+(inconsistent lift).  Only the public counts map the components back
+onto their grid: a trial's domain count (`_domains`) builds no label
+grid.  `count_components` reduces its nodes' lifted coordinates once per
 axis to get component diameters.
 
 Counting on a grid is a discretization heuristic: two features closer than
@@ -39,6 +40,8 @@ from .field import FieldGrid, WaveSample, eval_grid, sample_from_arrays
 _GUARD = 0.5
 # Counts may move by max(1, this fraction of the count) across a grid doubling.
 _DRIFT_TOLERANCE = 0.02
+# stability_margins reduces its grids in blocks of about this many cells.
+_MARGIN_BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -180,9 +183,63 @@ def _merge_patches(d: int, first, cells, links):
 def _first_sites(labels: np.ndarray, count: int) -> np.ndarray:
     """Raster index of each of labels 1..count's first site.  scipy numbers
     labels by first occurrence, so the running maximum is sorted and first
-    reaches label l at l's first site."""
-    running = np.maximum.accumulate(labels.ravel())
-    return np.searchsorted(running, np.arange(1, count + 1, dtype=running.dtype))
+    reaches label l at l's first site.  Only the rows of length M where the
+    running maximum of the row maxima rises hold a first site; the scan runs
+    over those rows alone, and the rows between them add no new label."""
+    rows = labels.reshape(-1, labels.shape[-1])
+    width = rows.shape[1]
+    top = np.maximum.accumulate(rows.max(axis=1))
+    kept = np.flatnonzero(np.diff(top, prepend=0) > 0)
+    running = np.maximum.accumulate(rows[kept].ravel())
+    sites = np.searchsorted(running, np.arange(1, count + 1, dtype=running.dtype))
+    return kept[sites // width] * width + sites % width
+
+
+def _domains(sg: SignGrid):
+    """count_domains without its label grid.
+
+    Returns (r, volumes, comp, pos, neg, npos): `comp` is the 0-based
+    component of each patch, the npos positive patches (labels of `pos`)
+    first, then the negative ones (labels of `neg`).  Patch ids are formed
+    only on the seam faces and at the saddle cells, never on the grid.
+    """
+    d, M = sg.d, sg.M
+    structure = ndimage.generate_binary_structure(d, 1)
+    pos, npos = ndimage.label(sg.signs, structure=structure)
+    neg, nneg = ndimage.label(~sg.signs, structure=structure)
+    first = np.concatenate([_first_sites(pos, npos), _first_sites(neg, nneg)])
+    cells = np.concatenate([
+        np.bincount(pos.ravel(), minlength=npos + 1)[1:],
+        np.bincount(neg.ravel(), minlength=nneg + 1)[1:],
+    ])
+
+    def patch(index) -> np.ndarray:
+        """0-based patch id of the vertices at `index`."""
+        return np.where(sg.signs[index], pos[index], neg[index] + npos) - 1
+
+    links = []
+    for axis in range(d):
+        last = (slice(None),) * axis + (M - 1,)
+        zero = (slice(None),) * axis + (0,)
+        same = (sg.signs[last] == sg.signs[zero]).ravel()
+        links.append((
+            patch(last).ravel()[same],
+            patch(zero).ravel()[same],
+            np.broadcast_to(M * np.eye(d, dtype=np.int64)[axis], (np.count_nonzero(same), d)),
+        ))
+    if d == 2:
+        main, anti = sg.saddles
+        for saddles, da, db in ((main, (0, 0), (1, 1)), (anti, (1, 0), (0, 1))):
+            base = np.unravel_index(np.flatnonzero(saddles), saddles.shape)
+            ua = [c + o for c, o in zip(base, da)]
+            ub = [c + o for c, o in zip(base, db)]
+            links.append((
+                patch(tuple(c % M for c in ua)),
+                patch(tuple(c % M for c in ub)),
+                M * np.column_stack([b // M - a // M for a, b in zip(ua, ub)]),  # seams crossed
+            ))
+    r, comp_cells, _, comp, _ = _merge_patches(d, first, cells, links)
+    return r, comp_cells.astype(float) / float(M**d), comp, pos, neg, npos
 
 
 def count_domains(sg: SignGrid) -> tuple[int, np.ndarray, np.ndarray]:
@@ -194,37 +251,10 @@ def count_domains(sg: SignGrid) -> tuple[int, np.ndarray, np.ndarray]:
     (r, volumes, labels); labels are 1-based in order of first raster
     occurrence across both signs, volumes are cell counts * h^d.
     """
-    d, M = sg.d, sg.M
-    structure = ndimage.generate_binary_structure(d, 1)
-    pos, npos = ndimage.label(sg.signs, structure=structure)
-    neg, nneg = ndimage.label(~sg.signs, structure=structure)
-    first = np.concatenate([_first_sites(pos, npos), _first_sites(neg, nneg)])
-    patches = np.where(sg.signs, pos, neg + npos)
-    cells = np.bincount(patches.ravel(), minlength=npos + nneg + 1)[1:]
-
-    links = []
-    for axis in range(d):
-        same = (np.take(sg.signs, M - 1, axis) == np.take(sg.signs, 0, axis)).ravel()
-        links.append((
-            np.take(patches, M - 1, axis).ravel()[same] - 1,
-            np.take(patches, 0, axis).ravel()[same] - 1,
-            np.broadcast_to(M * np.eye(d, dtype=np.int64)[axis], (np.count_nonzero(same), d)),
-        ))
-    if d == 2:
-        main, anti = sg.saddles
-        for saddles, da, db in ((main, (0, 0), (1, 1)), (anti, (1, 0), (0, 1))):
-            base = np.unravel_index(np.flatnonzero(saddles), saddles.shape)
-            ua = [c + o for c, o in zip(base, da)]
-            ub = [c + o for c, o in zip(base, db)]
-            links.append((
-                patches[tuple(c % M for c in ua)] - 1,
-                patches[tuple(c % M for c in ub)] - 1,
-                M * np.column_stack([b // M - a // M for a, b in zip(ua, ub)]),  # seams crossed
-            ))
-    r, comp_cells, _, comp, _ = _merge_patches(d, first, cells, links)
-    table = np.zeros(len(cells) + 1, dtype=np.int32)
+    r, volumes, comp, pos, neg, npos = _domains(sg)
+    table = np.zeros(len(comp) + 1, dtype=np.int32)
     table[1:] = comp + 1
-    return r, comp_cells.astype(float) / float(M**d), table[patches]
+    return r, volumes, table[np.where(sg.signs, pos, neg + npos)]
 
 
 def _mixed(signs: np.ndarray, axes) -> np.ndarray:
@@ -329,8 +359,8 @@ class Margins:
 
 
 def gradient_norm_grid(sample: WaveSample, M: int) -> np.ndarray:
-    total = np.zeros((M,) * sample.shell.d)
-    for axis in range(sample.shell.d):
+    total = np.square(eval_grid(sample, M, (0,)).values)  # 0.0 + x^2 == x^2
+    for axis in range(1, sample.shell.d):
         total += np.square(eval_grid(sample, M, (axis,)).values)
     return np.sqrt(total, out=total)
 
@@ -353,8 +383,18 @@ def stability_margins(
         raise ValueError("stability_margins expects a value grid")
     shell = sample.shell
     L = shell.L
-    scaled_grad = grid_gradnorm / (2.0 * np.pi * L)
-    mu = float(np.min(np.maximum(np.abs(grid_value.values), scaled_grad, out=scaled_grad)))
+    # mu = min(max(|f|, |grad f| / (2 pi L))) over blocks of rows, with no
+    # full-grid temporary; the minimum over the block minima is exact
+    M = grid_value.M
+    values = grid_value.values.reshape(-1, M)
+    gradnorm = grid_gradnorm.reshape(-1, M)
+    step = max(1, _MARGIN_BLOCK_CELLS // M)
+    lows = []
+    for start in range(0, len(values), step):
+        rows = slice(start, start + step)
+        scaled = gradnorm[rows] / (2.0 * np.pi * L)
+        lows.append(np.maximum(np.abs(values[rows]), scaled, out=scaled).min())
+    mu = float(np.min(lows))
     rho_c = sample.coeff_l1_bound()
     b1 = 2.0 * np.pi * L * rho_c
     b2 = (2.0 * np.pi * L) ** 2 * rho_c
@@ -386,7 +426,7 @@ class NodalSummary:
 def _count(value: FieldGrid) -> NodalSummary:
     """Counts and geometry of one grid, before margins and certification."""
     sg = sign_grid(value)
-    r, volumes, _ = count_domains(sg)
+    r, volumes, *_ = _domains(sg)
     k, _, diameters, wraps, labels = count_components(sg)
     return NodalSummary(
         k=k,
@@ -450,6 +490,7 @@ def analyze(sample: WaveSample, M: int, auto_refine: bool = False) -> NodalSumma
             replace(value, M=M, values=value.values[(slice(None, None, 2),) * value.d])
         )
         history.append((coarse.k, coarse.r))
+        del coarse  # only (k, r) is read; free its grids before 2M is counted
     summary = _count(value)
     history.append((summary.k, summary.r))
     while auto_refine and not _settled(history):

@@ -383,6 +383,21 @@ def test_experiment_rejects_bad_arguments(tmp_path, capsys, config_is_dir, extra
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_config_error_messages_name_the_spot(tmp_path, capsys):
+    text = MINIMAL_CONFIG.format(csv=tmp_path / "t.csv", report=tmp_path / "r.json")
+    repeated = tmp_path / "repeated.ini"
+    repeated.write_text(text.replace("trials = 2", "trials = 3\ntrials = 4"))
+    assert run_cli("experiment", "--config", str(repeated)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: line 7: option 'trials' in section 'experiment' already exists"]
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    assert run_cli("experiment", "--config", str(folder)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {folder}: Is a directory"]
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_experiment_runs_auto_refine(tmp_path):
     text = MINIMAL_CONFIG.format(csv=tmp_path / "t.csv", report=tmp_path / "r.json")
     text = text.replace("n_values = 25", "n_values = 5").replace("per_L:16", "auto_refine")

@@ -317,6 +317,74 @@ def test_first_sites_match_unique():
             assert np.array_equal(nodal._first_sites(labels, count), expected)
 
 
+def test_first_sites_row_gather_edge_cases():
+    grids = []
+    late = np.zeros((6, 5), dtype=np.int32)  # leading rows carry no label
+    late[3, 1], late[4, 0], late[5, 3] = 1, 2, 3
+    grids.append(late)
+    last_column = np.zeros((4, 7), dtype=np.int32)  # first sites in a row's last column
+    last_column[0, 6], last_column[1, 6], last_column[2, 0], last_column[2, 6] = 1, 2, 1, 3
+    grids.append(last_column)
+    repeats = np.array([[0, 1, 1], [1, 1, 0], [2, 0, 1], [2, 3, 3]], dtype=np.int32)
+    grids.append(repeats)  # rows 1 and 3 start with old labels; row 1 adds none
+    grids.append(np.zeros((5, 5), dtype=np.int32))  # count = 0
+    grids.append(np.zeros((3, 4, 2), dtype=np.int32))
+    rng = np.random.default_rng(14)
+    for shape in [(1,), (13,), (40,), (9, 1), (1, 9), (6, 7, 8), (3, 1, 5), (5, 4, 3, 2)]:
+        for p in (0.2, 0.5, 0.8):
+            grids.append(ndimage.label(rng.random(shape) < p)[0])
+    for labels in grids:
+        count = int(labels.max())
+        ids, index = np.unique(labels, return_index=True)
+        assert np.array_equal(nodal._first_sites(labels, count), index[ids > 0])
+
+
+@pytest.mark.parametrize("d, sizes", [(1, range(1, 30)), (2, range(1, 20)), (3, range(1, 9)),
+                                      (4, range(1, 6))])
+def test_domain_kernel_matches_count_domains(d, sizes):
+    rng = np.random.default_rng(100 + d)
+    for M in sizes:
+        for _ in range(3):
+            values = rng.integers(-1, 2, size=(M,) * d).astype(float)  # exact zeros count as +
+            values += rng.random(values.shape) * (rng.random(values.shape) < 0.3)
+            sg = nodal.sign_grid(field.FieldGrid(d=d, n=1, M=M, values=values))
+            r, volumes, labels = nodal.count_domains(sg)
+            kr, kvolumes, comp, pos, neg, npos = nodal._domains(sg)
+            assert kr == r
+            assert kvolumes.dtype == volumes.dtype and np.array_equal(kvolumes, volumes)
+            assert np.array_equal(comp[np.where(sg.signs, pos, neg + npos) - 1] + 1, labels)
+            # and both against flood fills that share no code with the kernel
+            if d == 2:
+                assert r == flood_fill_domains(sg.signs, sg.saddles[0])
+            else:
+                oracle, _, _ = flood_fill_domains_nd(sg.signs)
+                assert np.array_equal(labels, oracle)
+                cells = np.bincount(oracle.ravel(), minlength=r + 1)[1:]
+                assert np.array_equal(kvolumes, cells / float(M**d))
+
+
+@pytest.mark.parametrize("d, M", [(2, 1000), (3, 50)])
+def test_stability_margins_blocks_keep_mu_exact(d, M):
+    step = nodal._MARGIN_BLOCK_CELLS // M
+    rows = M ** (d - 1)
+    assert rows > step and rows % step != 0  # several blocks, the last one partial
+    sample = make_sample(d, 5, 3)
+    L = sample.shell.L
+    rng = np.random.default_rng(d)
+    for where in (0, -1):  # the minimum in the first block, then in the partial last one
+        values = rng.standard_normal((M,) * d)
+        gradnorm = np.abs(rng.standard_normal((M,) * d)) * 2.0 * np.pi * L
+        values.ravel()[where] = 1e-9
+        gradnorm.ravel()[where] = 1e-9
+        gradnorm.setflags(write=False)
+        before = gradnorm.copy()
+        grid = field.FieldGrid(d=d, n=5, M=M, values=values)
+        mu = nodal.stability_margins(sample, grid, gradnorm).mu
+        expected = float(np.min(np.maximum(np.abs(values), gradnorm / (2 * np.pi * L))))
+        assert mu == expected
+        assert np.array_equal(gradnorm, before)
+
+
 def test_offset_union_find_wraps_and_lifts():
     M = 8
     # ring 0 -> 1 -> 2 -> 0 with zero net offset: consistent, no wrap
