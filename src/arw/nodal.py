@@ -2,17 +2,18 @@
 
 Domains are face-connected sets of same-sign vertices; the zero set is
 tracked through mixed cells (grid hypercubes whose 2^d corners carry both
-signs).  Both counts label in-grid patches first (`ndimage.label` on each
-sign for domains, one sparse connected-components pass over mixed-cell
-nodes for the zero set) and then hand the patch graph, never the grid,
-to one kernel, `_merge_patches`.  It merges patches across the periodic
-seams and the d=2 saddle diagonals with an offset-tracking union-find
-(Newman & Ziff, 2001), which gives each patch its component and its
-lift to Z^d and detects components that wind around the torus
-(inconsistent lift).  Only the public counts map the components back
-onto their grid: a trial's domain count (`_domains`) builds no label
-grid.  `count_components` reduces its nodes' lifted coordinates once per
-axis to get component diameters.
+signs).  Both counts label in-grid patches first, each with one sparse
+connected-components pass: over the same-sign runs along the last axis
+for domains (run-based labeling, He, Chao & Suzuki, 2008), over
+mixed-cell nodes for the zero set.  They then hand the patch graph,
+never the grid, to one kernel, `_merge_patches`.  It merges patches
+across the periodic seams and the d=2 saddle diagonals with an
+offset-tracking union-find (Newman & Ziff, 2001), which gives each patch
+its component and its lift to Z^d and detects components that wind
+around the torus (inconsistent lift).  Only the public counts map the
+components back onto their grid: a trial's domain count (`_domains`)
+builds no label grid.  `count_components` reduces its nodes' lifted
+coordinates once per axis to get component diameters.
 
 Counting on a grid is a discretization heuristic: two features closer than
 one cell can merge.  The `certified` flag combines a conservative
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from operator import add, sub
 
 import numpy as np
-from scipy import ndimage, special
+from scipy import special
 from scipy.optimize import brentq
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as _sparse_components
@@ -180,66 +181,82 @@ def _merge_patches(d: int, first, cells, links):
     return count, cells, wraps, comp, offset
 
 
-def _first_sites(labels: np.ndarray, count: int) -> np.ndarray:
-    """Raster index of each of labels 1..count's first site.  scipy numbers
-    labels by first occurrence, so the running maximum is sorted and first
-    reaches label l at l's first site.  Only the rows of length M where the
-    running maximum of the row maxima rises hold a first site; the scan runs
-    over those rows alone, and the rows between them add no new label."""
-    rows = labels.reshape(-1, labels.shape[-1])
-    width = rows.shape[1]
-    top = np.maximum.accumulate(rows.max(axis=1))
-    kept = np.flatnonzero(np.diff(top, prepend=0) > 0)
-    running = np.maximum.accumulate(rows[kept].ravel())
-    sites = np.searchsorted(running, np.arange(1, count + 1, dtype=running.dtype))
-    return kept[sites // width] * width + sites % width
-
-
 def _domains(sg: SignGrid):
-    """count_domains without its label grid.
+    """count_domains without its label grid, on the sign grid's runs.
 
-    Returns (r, volumes, comp, pos, neg, npos): `comp` is the 0-based
-    component of each patch, the npos positive patches (labels of `pos`)
-    first, then the negative ones (labels of `neg`).  Patch ids are formed
-    only on the seam faces and at the saddle cells, never on the grid.
+    The nodes are the maximal same-sign runs along the last axis, found by
+    one full-grid `!=` (column 0 always starts a run).  Two runs on
+    neighbouring rows of a leading axis touch when they share a column,
+    and every shared column range starts at a run start of one of the two
+    rows; so two `searchsorted` calls per axis, at all run starts, find
+    every touching pair.  Same-sign pairs inside the grid go to one
+    connected-components pass, which forms the patches; pairs across the
+    periodic seams and the d=2 saddle links go to `_merge_patches`.
+
+    Returns (r, volumes, comp, lengths): the 0-based component and the
+    length of each run, in raster order.
     """
     d, M = sg.d, sg.M
-    structure = ndimage.generate_binary_structure(d, 1)
-    pos, npos = ndimage.label(sg.signs, structure=structure)
-    neg, nneg = ndimage.label(~sg.signs, structure=structure)
-    first = np.concatenate([_first_sites(pos, npos), _first_sites(neg, nneg)])
-    cells = np.concatenate([
-        np.bincount(pos.ravel(), minlength=npos + 1)[1:],
-        np.bincount(neg.ravel(), minlength=nneg + 1)[1:],
-    ])
+    signs = sg.signs.ravel()
+    size = signs.size
+    head = np.empty(size, dtype=bool)
+    head[0] = True
+    np.not_equal(signs[1:], signs[:-1], out=head[1:])
+    head[::M] = True
+    starts = np.flatnonzero(head)
+    del head
+    lengths = np.diff(starts, append=size)
+    run_sign = signs[starts]
+    nrun = len(starts)
 
-    def patch(index) -> np.ndarray:
-        """0-based patch id of the vertices at `index`."""
-        return np.where(sg.signs[index], pos[index], neg[index] + npos) - 1
+    def run_at(sites) -> np.ndarray:
+        """Index of the run holding each flat vertex index in `sites`."""
+        return np.searchsorted(starts, sites, side="right") - 1
 
-    links = []
-    for axis in range(d):
-        last = (slice(None),) * axis + (M - 1,)
-        zero = (slice(None),) * axis + (0,)
-        same = (sg.signs[last] == sg.signs[zero]).ravel()
-        links.append((
-            patch(last).ravel()[same],
-            patch(zero).ravel()[same],
-            np.broadcast_to(M * np.eye(d, dtype=np.int64)[axis], (np.count_nonzero(same), d)),
-        ))
+    def rel(axis: int, count: int) -> np.ndarray:
+        return np.broadcast_to(M * np.eye(d, dtype=np.int64)[axis], (count, d))
+
+    rows, cols, seams = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)], []
+    runs = np.arange(nrun)
+    for axis in range(d - 1):
+        stride = M ** (d - 1 - axis)  # flat step between neighbouring rows along `axis`
+        index = (starts // stride) % M
+        bottom, top = index == M - 1, index == 0
+        below = run_at(starts + stride - M * stride * bottom)
+        above = run_at(starts - stride + M * stride * top)
+        # (run, run one row further along `axis`, whether the pair crosses the seam)
+        for near, far, at_seam in ((runs, below, bottom), (above, runs, top)):
+            same = run_sign[near] == run_sign[far]
+            inside, crossing = same & ~at_seam, same & at_seam
+            rows.append(near[inside])
+            cols.append(far[inside])
+            seams.append((near[crossing], far[crossing], rel(axis, np.count_nonzero(crossing))))
+    # the last axis: each row's last run meets its first across the seam
+    row_first = run_at(np.arange(0, size, M))
+    row_last = np.append(row_first[1:], nrun) - 1
+    same = run_sign[row_last] == run_sign[row_first]
+    seams.append((row_last[same], row_first[same], rel(d - 1, np.count_nonzero(same))))
     if d == 2:
         main, anti = sg.saddles
         for saddles, da, db in ((main, (0, 0), (1, 1)), (anti, (1, 0), (0, 1))):
             base = np.unravel_index(np.flatnonzero(saddles), saddles.shape)
             ua = [c + o for c, o in zip(base, da)]
             ub = [c + o for c, o in zip(base, db)]
-            links.append((
-                patch(tuple(c % M for c in ua)),
-                patch(tuple(c % M for c in ub)),
+            seams.append((
+                run_at(np.ravel_multi_index(ua, saddles.shape, mode="wrap")),
+                run_at(np.ravel_multi_index(ub, saddles.shape, mode="wrap")),
                 M * np.column_stack([b // M - a // M for a, b in zip(ua, ub)]),  # seams crossed
             ))
+
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(nrun, nrun))
+    npatch, patch_of_run = _sparse_components(graph, directed=False)
+    first = np.full(npatch, np.iinfo(np.int64).max)
+    np.minimum.at(first, patch_of_run, starts)
+    cells = np.bincount(patch_of_run, weights=lengths, minlength=npatch)
+    links = [(patch_of_run[a], patch_of_run[b], offsets) for a, b, offsets in seams]
     r, comp_cells, _, comp, _ = _merge_patches(d, first, cells, links)
-    return r, comp_cells.astype(float) / float(M**d), comp, pos, neg, npos
+    return r, comp_cells.astype(float) / float(M**d), comp[patch_of_run], lengths
 
 
 def count_domains(sg: SignGrid) -> tuple[int, np.ndarray, np.ndarray]:
@@ -248,13 +265,13 @@ def count_domains(sg: SignGrid) -> tuple[int, np.ndarray, np.ndarray]:
     In d=2, saddle cells additionally connect the diagonal that matches
     the cell-center sign, so a domain is not split by a neck narrower
     than one cell when the interpolant keeps it connected.  Returns
-    (r, volumes, labels); labels are 1-based in order of first raster
-    occurrence across both signs, volumes are cell counts * h^d.
+    (r, volumes, labels); labels are int32, 1-based in order of first
+    raster occurrence across both signs, volumes are cell counts * h^d.
+    The labels repeat each run's component along the run.
     """
-    r, volumes, comp, pos, neg, npos = _domains(sg)
-    table = np.zeros(len(comp) + 1, dtype=np.int32)
-    table[1:] = comp + 1
-    return r, volumes, table[np.where(sg.signs, pos, neg + npos)]
+    r, volumes, comp, lengths = _domains(sg)
+    labels = np.repeat((comp + 1).astype(np.int32), lengths)
+    return r, volumes, labels.reshape(sg.signs.shape)
 
 
 def _mixed(signs: np.ndarray, axes) -> np.ndarray:

@@ -4,7 +4,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import ndimage
 
 from arw import field, lattice, nodal
 from arw.errors import PerturbationTooLarge, Uncertified
@@ -304,41 +303,6 @@ def test_sign_grid_saddle_split_matches_corner_mean():
     assert split_cells > 0
 
 
-def test_first_sites_match_unique():
-    rng = np.random.default_rng(5)
-    structure = ndimage.generate_binary_structure(2, 1)
-    masks = [rng.random((M, M)) < p for M in (1, 4, 9, 30) for p in (0.3, 0.5, 0.7)]
-    masks += [np.ones((6, 6), dtype=bool), rng.random((7, 8, 9)) < 0.5]
-    for mask in masks:
-        for side in (mask, ~mask):  # an all-True mask leaves ~mask with no labels
-            labels, count = ndimage.label(side, structure=structure if side.ndim == 2 else None)
-            ids, index = np.unique(labels, return_index=True)
-            expected = index[ids > 0]
-            assert np.array_equal(nodal._first_sites(labels, count), expected)
-
-
-def test_first_sites_row_gather_edge_cases():
-    grids = []
-    late = np.zeros((6, 5), dtype=np.int32)  # leading rows carry no label
-    late[3, 1], late[4, 0], late[5, 3] = 1, 2, 3
-    grids.append(late)
-    last_column = np.zeros((4, 7), dtype=np.int32)  # first sites in a row's last column
-    last_column[0, 6], last_column[1, 6], last_column[2, 0], last_column[2, 6] = 1, 2, 1, 3
-    grids.append(last_column)
-    repeats = np.array([[0, 1, 1], [1, 1, 0], [2, 0, 1], [2, 3, 3]], dtype=np.int32)
-    grids.append(repeats)  # rows 1 and 3 start with old labels; row 1 adds none
-    grids.append(np.zeros((5, 5), dtype=np.int32))  # count = 0
-    grids.append(np.zeros((3, 4, 2), dtype=np.int32))
-    rng = np.random.default_rng(14)
-    for shape in [(1,), (13,), (40,), (9, 1), (1, 9), (6, 7, 8), (3, 1, 5), (5, 4, 3, 2)]:
-        for p in (0.2, 0.5, 0.8):
-            grids.append(ndimage.label(rng.random(shape) < p)[0])
-    for labels in grids:
-        count = int(labels.max())
-        ids, index = np.unique(labels, return_index=True)
-        assert np.array_equal(nodal._first_sites(labels, count), index[ids > 0])
-
-
 @pytest.mark.parametrize("d, sizes", [(1, range(1, 30)), (2, range(1, 20)), (3, range(1, 9)),
                                       (4, range(1, 6))])
 def test_domain_kernel_matches_count_domains(d, sizes):
@@ -349,10 +313,15 @@ def test_domain_kernel_matches_count_domains(d, sizes):
             values += rng.random(values.shape) * (rng.random(values.shape) < 0.3)
             sg = nodal.sign_grid(field.FieldGrid(d=d, n=1, M=M, values=values))
             r, volumes, labels = nodal.count_domains(sg)
-            kr, kvolumes, comp, pos, neg, npos = nodal._domains(sg)
+            kr, kvolumes, comp, lengths = nodal._domains(sg)
             assert kr == r
             assert kvolumes.dtype == volumes.dtype and np.array_equal(kvolumes, volumes)
-            assert np.array_equal(comp[np.where(sg.signs, pos, neg + npos) - 1] + 1, labels)
+            # the kernel's nodes are each row's maximal same-sign runs, in raster order
+            rows = sg.signs.reshape(-1, M)
+            heads = np.ones(rows.shape, dtype=bool)
+            heads[:, 1:] = rows[:, 1:] != rows[:, :-1]
+            assert np.array_equal(lengths, np.diff(np.flatnonzero(heads), append=rows.size))
+            assert np.array_equal(np.repeat(comp + 1, lengths), labels.ravel())
             # and both against flood fills that share no code with the kernel
             if d == 2:
                 assert r == flood_fill_domains(sg.signs, sg.saddles[0])
@@ -361,6 +330,82 @@ def test_domain_kernel_matches_count_domains(d, sizes):
                 assert np.array_equal(labels, oracle)
                 cells = np.bincount(oracle.ravel(), minlength=r + 1)[1:]
                 assert np.array_equal(kvolumes, cells / float(M**d))
+
+
+def assert_domains_match_oracles(values):
+    """count_domains' r, volumes and int32 labels against the flood fills."""
+    d, M = values.ndim, values.shape[0]
+    sg = nodal.sign_grid(field.FieldGrid(d=d, n=1, M=M, values=values))
+    r, volumes, labels = nodal.count_domains(sg)
+    assert labels.dtype == np.int32 and labels.shape == values.shape
+    if d == 2:
+        assert r == flood_fill_domains(sg.signs, sg.saddles[0])
+    if d != 2 or not any(split.any() for split in sg.saddles):
+        oracle, _, _ = flood_fill_domains_nd(sg.signs)
+        assert np.array_equal(labels, oracle)
+        assert np.array_equal(volumes, np.bincount(oracle.ravel())[1:] / float(M**d))
+    return r
+
+
+def test_domain_runs_one_vertex_each():
+    # at odd M the seams join equal signs, so only even M has a closed form
+    for M in (2, 3, 4, 5):
+        _, j = np.indices((M, M))
+        # columns alternate: every vertex is its own run, and rows join them
+        r = assert_domains_match_oracles(np.where(j % 2, -1.0, 1.0))
+        assert M % 2 or r == M
+        i, j, k = np.indices((M, M, M))
+        r = assert_domains_match_oracles(np.where((i + j + k) % 2, -1.0, 1.0))
+        assert M % 2 or r == M**3
+    # d=2 checkerboard: every cell is a saddle whose corner mean is 0, so the
+    # + diagonals join all + vertices and each - vertex stays alone
+    M = 6
+    i, j = np.indices((M, M))
+    plus = (i + j) % 2 == 0
+    sg = nodal.sign_grid(field.FieldGrid(d=2, n=1, M=M, values=np.where(plus, 1.0, -1.0)))
+    r, volumes, labels = nodal.count_domains(sg)
+    expected = np.ones((M, M), dtype=np.int32)
+    expected[~plus] = np.arange(2, 2 + M * M // 2)
+    assert r == 1 + M * M // 2 == flood_fill_domains(sg.signs, sg.saddles[0])
+    assert labels.dtype == np.int32 and np.array_equal(labels, expected)
+    assert np.array_equal(volumes, np.r_[M * M // 2, np.ones(M * M // 2)] / float(M * M))
+
+
+def test_domain_runs_one_per_row():
+    rng = np.random.default_rng(31)
+    for d, M in ((2, 1), (2, 7), (2, 12), (3, 6)):
+        rows = np.where(rng.random((M,) * (d - 1)) < 0.5, -1.0, 1.0)
+        assert_domains_match_oracles(np.repeat(rows[..., None], M, axis=-1))  # constant rows
+        stripes = np.where(np.arange(M) // 3 % 2, -1.0, 1.0)
+        assert_domains_match_oracles(np.broadcast_to(stripes.reshape((M,) + (1,) * (d - 1)),
+                                                     (M,) * d).copy())
+
+
+def test_domain_runs_joined_only_across_seams():
+    M = 8
+    values = np.ones((M, M))
+    values[[6, 7, 0, 1], 3] = -1.0  # rows M-1 and 0 hold the only link of the band
+    assert assert_domains_match_oracles(values) == 2
+    values = np.ones((M, M))
+    values[4, [6, 7, 0, 1]] = -1.0  # one run ends at column M-1, the other starts at 0
+    assert assert_domains_match_oracles(values) == 2
+    for axis in range(3):
+        values = np.ones((M, M, M))
+        line = [2, 2, 2]
+        line[axis] = [6, 7, 0, 1]
+        values[tuple(line)] = -1.0
+        assert assert_domains_match_oracles(values) == 2
+
+
+def test_domain_runs_tiny_grids_and_zeros():
+    for values in ([0.0], [-1.0], [1.0, 1.0], [1.0, -1.0], [0.0, -2.0], [-2.0, 0.0], [0.0, 0.0]):
+        values = np.array(values)
+        r = assert_domains_match_oracles(values)
+        assert r == (1 if len(set(values >= 0)) == 1 else 2)
+    rng = np.random.default_rng(8)
+    for d, M in ((1, 9), (2, 1), (2, 2), (2, 9), (3, 1), (3, 2), (3, 5)):
+        for _ in range(4):
+            assert_domains_match_oracles(rng.integers(-1, 2, size=(M,) * d).astype(float))
 
 
 @pytest.mark.parametrize("d, M", [(2, 1000), (3, 50)])
