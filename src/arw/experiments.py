@@ -14,6 +14,8 @@ the concentration statements are about.
 from __future__ import annotations
 
 import csv
+import ctypes
+import glob
 import json
 import math
 import os
@@ -146,9 +148,31 @@ def run_trial(d: int, n: int, m_policy: MPolicy, master_seed: int, trial_index: 
     )
 
 
+def _openblas() -> Optional[ctypes.CDLL]:
+    """NumPy's bundled OpenBLAS (wheels ship it in numpy.libs), or None."""
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                           "libscipy_openblas64_*.so")
+    for path in glob.glob(pattern):
+        try:
+            return ctypes.CDLL(path)
+        except OSError:
+            pass
+    return None
+
+
 def _share_budget(workers: int) -> None:
-    """Pool initializer: the workers split one memory budget evenly."""
+    """Pool initializer: the workers split one memory budget evenly, and
+    each runs OpenBLAS on one thread, so P workers keep P BLAS threads.
+
+    Workers are forked with OpenBLAS already loaded, so the thread count is
+    set through the library itself; an environment variable would come too
+    late.  Without NumPy's bundled library or its setter this is a no-op.
+    """
     field_module._budget_shares = workers
+    setter = getattr(_openblas(), "scipy_openblas_set_num_threads64_", None)
+    if setter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
 
 
 def run_trials(

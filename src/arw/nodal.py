@@ -2,18 +2,19 @@
 
 Domains are face-connected sets of same-sign vertices; the zero set is
 tracked through mixed cells (grid hypercubes whose 2^d corners carry both
-signs).  Both counts label in-grid patches first, each with one sparse
-connected-components pass: over the same-sign runs along the last axis
-for domains (run-based labeling, He, Chao & Suzuki, 2008), over
-mixed-cell nodes for the zero set.  They then hand the patch graph,
-never the grid, to one kernel, `_merge_patches`.  It merges patches
-across the periodic seams and the d=2 saddle diagonals with an
-offset-tracking union-find (Newman & Ziff, 2001), which gives each patch
-its component and its lift to Z^d and detects components that wind
-around the torus (inconsistent lift).  Only the public counts map the
-components back onto their grid: a trial's domain count (`_domains`)
-builds no label grid.  `count_components` reduces its nodes' lifted
-coordinates once per axis to get component diameters.
+signs).  Domains need only connectivity: `_domains` links the sign grid's
+same-sign runs along the last axis (run-based labeling, He, Chao &
+Suzuki, 2008) to the runs they touch, across the periodic seams and the
+d=2 saddle diagonals too, and labels them in one sparse
+connected-components pass.  Zero-set components also need their lifts to
+Z^d, for winding and diameters: `count_components` labels in-grid patches
+of mixed-cell nodes with one connected-components pass, then merges them
+across the seams and saddles in `_merge_patches`, an offset-tracking
+union-find (Newman & Ziff, 2001) that gives each patch its component and
+lift and detects components that wind around the torus (inconsistent
+lift).  It reduces its nodes' lifted coordinates once per axis to get
+component diameters.  A trial's domain count builds no label grid; only
+the public counts map their components back onto the grid.
 
 Counting on a grid is a discretization heuristic: two features closer than
 one cell can merge.  The `certified` flag combines a conservative
@@ -140,7 +141,9 @@ class _OffsetUnionFind:
 
 
 def _merge_patches(d: int, first, cells, links):
-    """Merge in-grid patches into periodic components (Newman & Ziff, 2001).
+    """Merge in-grid zero-set patches into periodic components (Newman &
+    Ziff, 2001), with the lifts `count_components` needs for winding and
+    diameters.
 
     Patches are numbered from 0 and the kernel never sees the grid.  Per
     patch, `first` is its smallest raster key and `cells` its node count.
@@ -188,10 +191,14 @@ def _domains(sg: SignGrid):
     one full-grid `!=` (column 0 always starts a run).  Two runs on
     neighbouring rows of a leading axis touch when they share a column,
     and every shared column range starts at a run start of one of the two
-    rows; so two `searchsorted` calls per axis, at all run starts, find
-    every touching pair.  Same-sign pairs inside the grid go to one
-    connected-components pass, which forms the patches; pairs across the
-    periodic seams and the d=2 saddle links go to `_merge_patches`.
+    rows; so the vertices one row over in both directions from every run
+    start, where their sign matches, find every touching same-sign pair
+    with one `searchsorted` each, row M-1 meeting row 0.  Each row's last
+    run also meets its first across the last axis's seam, and in d=2 each
+    saddle cell links the runs at the ends of its matching diagonal.
+    Domains need no lifts, so all these pairs go into one
+    connected-components pass, and the components are numbered by their
+    first run.
 
     Returns (r, volumes, comp, lengths): the 0-based component and the
     length of each run, in raster order.
@@ -206,57 +213,40 @@ def _domains(sg: SignGrid):
     starts = np.flatnonzero(head)
     del head
     lengths = np.diff(starts, append=size)
-    run_sign = signs[starts]
     nrun = len(starts)
 
     def run_at(sites) -> np.ndarray:
         """Index of the run holding each flat vertex index in `sites`."""
         return np.searchsorted(starts, sites, side="right") - 1
 
-    def rel(axis: int, count: int) -> np.ndarray:
-        return np.broadcast_to(M * np.eye(d, dtype=np.int64)[axis], (count, d))
-
-    rows, cols, seams = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)], []
+    # same-sign (run, run) pairs; the periodic seams wrap row M-1 to row 0
     runs = np.arange(nrun)
+    run_sign = signs[starts]
+    pairs = []
     for axis in range(d - 1):
         stride = M ** (d - 1 - axis)  # flat step between neighbouring rows along `axis`
         index = (starts // stride) % M
-        bottom, top = index == M - 1, index == 0
-        below = run_at(starts + stride - M * stride * bottom)
-        above = run_at(starts - stride + M * stride * top)
-        # (run, run one row further along `axis`, whether the pair crosses the seam)
-        for near, far, at_seam in ((runs, below, bottom), (above, runs, top)):
-            same = run_sign[near] == run_sign[far]
-            inside, crossing = same & ~at_seam, same & at_seam
-            rows.append(near[inside])
-            cols.append(far[inside])
-            seams.append((near[crossing], far[crossing], rel(axis, np.count_nonzero(crossing))))
-    # the last axis: each row's last run meets its first across the seam
+        for step, edge in ((stride, M - 1), (-stride, 0)):
+            sites = starts + step - M * step * (index == edge)  # one row over, at the start
+            same = signs[sites] == run_sign
+            pairs.append((runs[same], run_at(sites[same])))
     row_first = run_at(np.arange(0, size, M))
     row_last = np.append(row_first[1:], nrun) - 1
     same = run_sign[row_last] == run_sign[row_first]
-    seams.append((row_last[same], row_first[same], rel(d - 1, np.count_nonzero(same))))
+    pairs.append((row_last[same], row_first[same]))
     if d == 2:
-        main, anti = sg.saddles
-        for saddles, da, db in ((main, (0, 0), (1, 1)), (anti, (1, 0), (0, 1))):
-            base = np.unravel_index(np.flatnonzero(saddles), saddles.shape)
-            ua = [c + o for c, o in zip(base, da)]
-            ub = [c + o for c, o in zip(base, db)]
-            seams.append((
-                run_at(np.ravel_multi_index(ua, saddles.shape, mode="wrap")),
-                run_at(np.ravel_multi_index(ub, saddles.shape, mode="wrap")),
-                M * np.column_stack([b // M - a // M for a, b in zip(ua, ub)]),  # seams crossed
-            ))
-
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(nrun, nrun))
-    npatch, patch_of_run = _sparse_components(graph, directed=False)
-    first = np.full(npatch, np.iinfo(np.int64).max)
-    np.minimum.at(first, patch_of_run, starts)
-    cells = np.bincount(patch_of_run, weights=lengths, minlength=npatch)
-    links = [(patch_of_run[a], patch_of_run[b], offsets) for a, b, offsets in seams]
-    r, comp_cells, _, comp, _ = _merge_patches(d, first, cells, links)
-    return r, comp_cells.astype(float) / float(M**d), comp[patch_of_run], lengths
+        # saddle cell (i, j) links (i, j)-(i+1, j+1) on `main`, (i+1, j)-(i, j+1) on `anti`
+        for saddles, corners in zip(sg.saddles, (((0, 0), (1, 1)), ((1, 0), (0, 1)))):
+            i, j = divmod(np.flatnonzero(saddles), M)
+            pairs.append(tuple(run_at((i + di) % M * M + (j + dj) % M) for di, dj in corners))
+    near, far = (np.concatenate(side) for side in zip(*pairs))
+    graph = coo_matrix((np.ones(len(near)), (near, far)), shape=(nrun, nrun))
+    r, group = _sparse_components(graph, directed=False)
+    # csgraph does not document its label order: rank components by first run
+    first = np.full(r, nrun)
+    np.minimum.at(first, group, runs)
+    comp = np.argsort(np.argsort(first))[group]
+    return r, np.bincount(comp, weights=lengths) / float(M**d), comp, lengths
 
 
 def count_domains(sg: SignGrid) -> tuple[int, np.ndarray, np.ndarray]:
@@ -429,7 +419,6 @@ class NodalSummary:
     domain_volumes: np.ndarray = field(repr=False)
     component_diameters: np.ndarray = field(repr=False)
     component_wraps: np.ndarray = field(repr=False)
-    component_labels: np.ndarray = field(repr=False)
     alpha: float = 0.0
     beta: float = 0.0
     certified: bool = False
@@ -444,14 +433,13 @@ def _count(value: FieldGrid) -> NodalSummary:
     """Counts and geometry of one grid, before margins and certification."""
     sg = sign_grid(value)
     r, volumes, *_ = _domains(sg)
-    k, _, diameters, wraps, labels = count_components(sg)
+    k, _, diameters, wraps, _ = count_components(sg)
     return NodalSummary(
         k=k,
         r=r,
         domain_volumes=volumes,
         component_diameters=diameters,
         component_wraps=wraps,
-        component_labels=labels,
         zero_hits=sg.zero_hits,
         M=value.M,
     )
@@ -482,8 +470,9 @@ def analyze(sample: WaveSample, M: int, auto_refine: bool = False) -> NodalSumma
     analyzed.
     With `auto_refine`, the grid keeps doubling until (k, r) are unchanged
     for two consecutive refinements or the memory budget is hit.  The
-    summary reports the finest grid computed, with its component labels;
-    the gradient grids and margins are computed for that grid only.
+    summary reports the counts and geometry of the finest grid computed,
+    but keeps no grid; the gradient grids and margins are computed for that
+    grid only.
 
     Certification is heuristic, not a proof.  A summary is certified when
     either the conservative analytic margin certificate fires, or all of:
@@ -615,11 +604,12 @@ def perturb_and_compare(
     perturbed = sample_from_arrays(
         shell, np.asarray(sample.a) + ga * scale, np.asarray(sample.b) + gb * scale
     )
-    # same shell, M and budget: both analyses end on the same grid
+    # same shell, M and budget: both analyses end on the same grid, whose
+    # deterministic recount gives the labels behind their diameters
     pert = analyze(perturbed, M)
-
-    lab_b = base.component_labels.ravel()
-    lab_a = pert.component_labels.ravel()
+    lab_b, lab_a = (
+        count_components(sign_grid(eval_grid(s, base.M)))[4].ravel() for s in (sample, perturbed)
+    )
     both = (lab_b > 0) & (lab_a > 0)
     pair_ids = lab_b[both].astype(np.int64) * (pert.k + 1) + lab_a[both]
     uniq, counts = np.unique(pair_ids, return_counts=True)

@@ -141,10 +141,12 @@ def flood_fill_components(signs: np.ndarray, main: np.ndarray):
     )
 
 
-def flood_fill_domains(signs: np.ndarray, main: np.ndarray) -> int:
-    """Number of same-sign regions: BFS over vertices with face adjacency,
-    periodic wrap, and the diagonal saddle links matching the center sign
-    (v00-v11 on `main` checkerboard cells, v10-v01 on the others)."""
+def flood_fill_domains(signs: np.ndarray, main: np.ndarray):
+    """Same-sign regions of a d=2 sign grid: BFS over vertices with face
+    adjacency, periodic wrap, and the diagonal saddle links matching the
+    center sign (v00-v11 on `main` checkerboard cells, v10-v01 on the
+    others).  Returns (count, labels): labels are 1-based in order of first
+    raster occurrence, since the BFS starts from vertices in raster order."""
     M0, M1 = signs.shape
     diagonals: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for i in range(M0):
@@ -159,16 +161,16 @@ def flood_fill_domains(signs: np.ndarray, main: np.ndarray) -> int:
             diagonals.setdefault(a, []).append(b)
             diagonals.setdefault(b, []).append(a)
 
-    seen = np.zeros_like(signs, dtype=bool)
+    labels = np.zeros(signs.shape, dtype=np.int64)
     count = 0
     for i in range(M0):
         for j in range(M1):
-            if seen[i, j]:
+            if labels[i, j]:
                 continue
             count += 1
             sign = signs[i, j]
             queue = deque([(i, j)])
-            seen[i, j] = True
+            labels[i, j] = count
             while queue:
                 ci, cj = queue.popleft()
                 neighbors = [
@@ -178,10 +180,10 @@ def flood_fill_domains(signs: np.ndarray, main: np.ndarray) -> int:
                     (ci, (cj - 1) % M1),
                 ] + diagonals.get((ci, cj), [])
                 for ni, nj in neighbors:
-                    if not seen[ni, nj] and signs[ni, nj] == sign:
-                        seen[ni, nj] = True
+                    if not labels[ni, nj] and signs[ni, nj] == sign:
+                        labels[ni, nj] = count
                         queue.append((ni, nj))
-    return count
+    return count, labels
 
 
 def mc_sphere_cosine_average(d: int, r: float, samples: int, seed: int) -> tuple[float, float]:

@@ -129,7 +129,7 @@ def test_criterion_05_topology_oracle():
         sg = nodal.sign_grid(field.eval_grid(sample, 32))
         r, _, _ = nodal.count_domains(sg)
         k, *_ = nodal.count_components(sg)
-        if r != flood_fill_domains(sg.signs, sg.saddles[0]):
+        if r != flood_fill_domains(sg.signs, sg.saddles[0])[0]:
             mismatches += 1
         if k != flood_fill_components(sg.signs, sg.saddles[0])[0]:
             mismatches += 1

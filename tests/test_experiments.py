@@ -1,5 +1,7 @@
+import ctypes
 import dataclasses
 import math
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -60,6 +62,21 @@ def test_run_trials_parallelism_determinism():
         assert a.min_domain_vol == b.min_domain_vol
         assert a.sum_diameters == b.sum_diameters
         assert a.alpha == b.alpha and a.beta == b.beta
+
+
+def _blas_threads():
+    getter = experiments._openblas().scipy_openblas_get_num_threads64_
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    return getter()
+
+
+def test_pool_workers_run_one_blas_thread():
+    lib = experiments._openblas()
+    if lib is None or not hasattr(lib, "scipy_openblas_get_num_threads64_"):
+        pytest.skip("NumPy's bundled OpenBLAS or its thread-count symbols are absent")
+    with ProcessPoolExecutor(max_workers=1, initializer=experiments._share_budget,
+                             initargs=(2,)) as pool:
+        assert pool.submit(_blas_threads).result() == 1
 
 
 def test_run_trials_flags_memory_errors(monkeypatch):

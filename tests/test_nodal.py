@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -132,8 +133,9 @@ def test_flood_fill_oracle_small_grids():
         for trial in range(25):
             sample = field.sample_coefficients(shell, 321, trial)
             sg = nodal.sign_grid(field.eval_grid(sample, 32))
-            r, _, _ = nodal.count_domains(sg)
-            assert r == flood_fill_domains(sg.signs, sg.saddles[0])
+            r, _, labels = nodal.count_domains(sg)
+            oracle_r, oracle = flood_fill_domains(sg.signs, sg.saddles[0])
+            assert r == oracle_r and np.array_equal(labels, oracle)
             assert_matches_d2_oracle(sg)
 
 
@@ -324,12 +326,12 @@ def test_domain_kernel_matches_count_domains(d, sizes):
             assert np.array_equal(np.repeat(comp + 1, lengths), labels.ravel())
             # and both against flood fills that share no code with the kernel
             if d == 2:
-                assert r == flood_fill_domains(sg.signs, sg.saddles[0])
+                _, oracle = flood_fill_domains(sg.signs, sg.saddles[0])
             else:
                 oracle, _, _ = flood_fill_domains_nd(sg.signs)
-                assert np.array_equal(labels, oracle)
-                cells = np.bincount(oracle.ravel(), minlength=r + 1)[1:]
-                assert np.array_equal(kvolumes, cells / float(M**d))
+            assert np.array_equal(labels, oracle)
+            cells = np.bincount(oracle.ravel(), minlength=r + 1)[1:]
+            assert np.array_equal(kvolumes, cells / float(M**d))
 
 
 def assert_domains_match_oracles(values):
@@ -339,11 +341,11 @@ def assert_domains_match_oracles(values):
     r, volumes, labels = nodal.count_domains(sg)
     assert labels.dtype == np.int32 and labels.shape == values.shape
     if d == 2:
-        assert r == flood_fill_domains(sg.signs, sg.saddles[0])
-    if d != 2 or not any(split.any() for split in sg.saddles):
+        _, oracle = flood_fill_domains(sg.signs, sg.saddles[0])
+    else:
         oracle, _, _ = flood_fill_domains_nd(sg.signs)
-        assert np.array_equal(labels, oracle)
-        assert np.array_equal(volumes, np.bincount(oracle.ravel())[1:] / float(M**d))
+    assert np.array_equal(labels, oracle)
+    assert np.array_equal(volumes, np.bincount(oracle.ravel())[1:] / float(M**d))
     return r
 
 
@@ -366,7 +368,7 @@ def test_domain_runs_one_vertex_each():
     r, volumes, labels = nodal.count_domains(sg)
     expected = np.ones((M, M), dtype=np.int32)
     expected[~plus] = np.arange(2, 2 + M * M // 2)
-    assert r == 1 + M * M // 2 == flood_fill_domains(sg.signs, sg.saddles[0])
+    assert r == 1 + M * M // 2 == flood_fill_domains(sg.signs, sg.saddles[0])[0]
     assert labels.dtype == np.int32 and np.array_equal(labels, expected)
     assert np.array_equal(volumes, np.r_[M * M // 2, np.ones(M * M // 2)] / float(M * M))
 
@@ -500,6 +502,14 @@ def test_analyze_deterministic_field():
     assert (summary.k, summary.r) == (8, 8)
     assert summary.certified
     assert summary.domain_volumes.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("d, n, M", [(2, 65, 48), (3, 9, 24)])
+def test_analyze_summary_keeps_no_grid(d, n, M):
+    # a summary holds per-domain and per-component arrays, never a grid
+    summary = nodal.analyze(make_sample(d, n, 11), M)
+    for f in dataclasses.fields(summary):
+        assert np.size(getattr(summary, f.name)) < summary.M**d, f.name
 
 
 def test_analyze_budget_admits_M_not_2M(monkeypatch):
