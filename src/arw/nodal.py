@@ -7,13 +7,15 @@ same-sign runs along the last axis (run-based labeling, He, Chao &
 Suzuki, 2008) to the runs they touch, across the periodic seams and the
 d=2 saddle diagonals too, and labels them in one sparse
 connected-components pass.  Zero-set components also need their lifts to
-Z^d, for winding and diameters: `count_components` labels in-grid patches
-of mixed-cell nodes with one connected-components pass, then merges them
-across the seams and saddles in `_merge_patches`, an offset-tracking
-union-find (Newman & Ziff, 2001) that gives each patch its component and
-lift and detects components that wind around the torus (inconsistent
-lift).  It reduces its nodes' lifted coordinates once per axis to get
-component diameters.  A trial's domain count builds no label grid; only
+Z^d, for winding and diameters.  `_components` works on the runs of mixed
+cells along the last axis that share mixed faces (a d=2 saddle cell's two
+segments end one run and start the next), labels in-grid patches of runs
+with one connected-components pass, then merges them across the seams in
+`_merge_patches`, an offset-tracking union-find (Newman & Ziff, 2001)
+that gives each patch its component and lift and detects components that
+wind around the torus (inconsistent lift).  A run spans one row from its
+first cell to its last, so the lifted component boxes behind the
+diameters reduce over runs.  A trial's counts build no label grid; only
 the public counts map their components back onto the grid.
 
 Counting on a grid is a discretization heuristic: two features closer than
@@ -55,14 +57,16 @@ class SignGrid:
     multilinear interpolant (the corner mean): `main` cells have v00-v11
     matching the center, `anti` cells v10-v01.  The matching diagonal
     links two domain patches, and the cell's zero set becomes the two
-    segments that cut off the corners of the other diagonal.  It is None
-    in other dimensions.
+    segments that cut off the corners of the other diagonal.
+    `saddle_cells` holds the same two splits as sorted flat cell indices,
+    which the counting kernels read.  Both are None in other dimensions.
     """
 
     d: int
     M: int
     signs: np.ndarray = field(repr=False)  # True where f >= 0
     saddles: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    saddle_cells: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
     zero_hits: int = 0
 
 
@@ -76,7 +80,7 @@ def sign_grid(grid: FieldGrid) -> SignGrid:
         raise ValueError("grid contains non-finite values")
     signs = values >= 0.0
     signs.setflags(write=False)
-    saddles = None
+    saddles = saddle_cells = None
     if grid.d == 2:
         s10 = np.roll(signs, -1, 0)
         s01 = np.roll(signs, -1, 1)
@@ -84,19 +88,23 @@ def sign_grid(grid: FieldGrid) -> SignGrid:
         amb = (signs == s11) & (s10 == s01) & (signs != s10)
         # the corner sum, in this association order, only where it decides
         # (2-D np.nonzero costs ms per call even on sparse masks)
-        i, j = divmod(np.flatnonzero(amb), grid.M)
+        cells = np.flatnonzero(amb)
+        i, j = divmod(cells, grid.M)
         i1, j1 = (i + 1) % grid.M, (j + 1) % grid.M
         center = (values[i, j] + values[i1, j]) + (values[i, j1] + values[i1, j1])
-        main = np.zeros_like(amb)
-        main[i, j] = (center >= 0.0) == signs[i, j]
-        saddles = (main, amb & ~main)
-        for split in saddles:
+        on_main = (center >= 0.0) == signs[i, j]
+        saddle_cells = (cells[on_main], cells[~on_main])
+        saddles = (np.zeros_like(amb), np.zeros_like(amb))
+        for split, at in zip(saddles, saddle_cells):
+            np.put(split, at, True)
             split.setflags(write=False)
+            at.setflags(write=False)
     return SignGrid(
         d=grid.d,
         M=grid.M,
         signs=signs,
         saddles=saddles,
+        saddle_cells=saddle_cells,
         zero_hits=int(np.count_nonzero(values == 0.0)),
     )
 
@@ -142,17 +150,19 @@ class _OffsetUnionFind:
 
 def _merge_patches(d: int, first, cells, links):
     """Merge in-grid zero-set patches into periodic components (Newman &
-    Ziff, 2001), with the lifts `count_components` needs for winding and
+    Ziff, 2001), with the lifts `_components` needs for winding and
     diameters.
 
-    Patches are numbered from 0 and the kernel never sees the grid.  Per
-    patch, `first` is its smallest raster key and `cells` its node count.
-    `links` lists array triples (pa, pb, rel) declaring
-    lift(pb) = lift(pa) + rel across seams and saddles.
+    A patch is a set of runs of mixed cells joined inside the grid;
+    patches are numbered from 0 and the kernel never sees the grid.  Per
+    patch, `first` is its smallest run index (runs are numbered in raster
+    order) and `cells` its cell count, a d=2 saddle cell counting once per
+    segment.  `links` lists array triples (pa, pb, rel) declaring
+    lift(pb) = lift(pa) + rel across the periodic seams.
 
     Returns (count, cells, wraps, comp, lift).  Components are 0-based and
     ordered by their smallest `first` key; per component, `cells` counts
-    its nodes (int64) and `wraps` marks those with no consistent lift.
+    its cells (int64) and `wraps` marks those with no consistent lift.
     Per patch, `comp` is its component and `lift` (npatch, d) its offset
     in Z^d from the component's root patch.
     """
@@ -236,8 +246,8 @@ def _domains(sg: SignGrid):
     pairs.append((row_last[same], row_first[same]))
     if d == 2:
         # saddle cell (i, j) links (i, j)-(i+1, j+1) on `main`, (i+1, j)-(i, j+1) on `anti`
-        for saddles, corners in zip(sg.saddles, (((0, 0), (1, 1)), ((1, 0), (0, 1)))):
-            i, j = divmod(np.flatnonzero(saddles), M)
+        for cells, corners in zip(sg.saddle_cells, (((0, 0), (1, 1)), ((1, 0), (0, 1)))):
+            i, j = divmod(cells, M)
             pairs.append(tuple(run_at((i + di) % M * M + (j + dj) % M) for di, dj in corners))
     near, far = (np.concatenate(side) for side in zip(*pairs))
     graph = coo_matrix((np.ones(len(near)), (near, far)), shape=(nrun, nrun))
@@ -273,6 +283,105 @@ def _mixed(signs: np.ndarray, axes) -> np.ndarray:
     return ~(pos | neg)
 
 
+def _components(sg: SignGrid):
+    """count_components without its label grid, on runs of mixed cells.
+
+    Cell j spans the vertices j + {0,1}^d.  One all-+/all- reduction over
+    the leading axes marks each last-axis face (base vertex j, shared by
+    cells j - e_{d-1} and j); two neighbouring faces give the cell mask.
+    The nodes are the maximal runs of mixed cells along the last axis
+    whose shared faces are mixed: a run starts at column 0 or behind an
+    unmixed face, and in d=2 a saddle cell's first segment ends a run and
+    its second starts the next.  An int32 run-id grid, written only at
+    mixed cells, maps each crossed leading-axis face, found from its base
+    vertex, to the runs on either side (a saddle's second segment is
+    run-id + 1).  One connected-components pass labels the runs into
+    in-grid patches; the row M-1 -> row 0 faces and the column M-1 ->
+    column 0 faces go to `_merge_patches` as seam links.  A run spans one
+    row from its first cell to its last, so the component boxes reduce
+    over runs, not cells.
+
+    Returns (k, cells, diameters, wraps, comp, starts, lengths): per run,
+    in raster order, its 0-based component, first cell (flat index) and
+    cell count.
+    """
+    d, M = sg.d, sg.M
+    signs = sg.signs
+    pos, neg = signs, ~signs
+    for axis in range(d - 1):
+        pos = pos & np.roll(pos, -1, axis=axis)
+        neg = neg & np.roll(neg, -1, axis=axis)
+    face = ~(pos | neg).reshape(-1, M)
+    sites = np.flatnonzero(~(pos & np.roll(pos, -1, axis=-1) | neg & np.roll(neg, -1, axis=-1)))
+    del pos, neg
+    # a column 0 face joins the row's column M-1 cell to its column 0 cell
+    # across the seam; the run breaks there
+    wrap = np.flatnonzero(face[:, 0]) * M
+    face[:, 0] = False
+    # runs opened at each mixed cell: one behind an unmixed face, one more
+    # for a saddle cell's second segment
+    twin = np.zeros(len(sites), dtype=bool)
+    if d == 2:
+        main, anti = (split.ravel() for split in sg.saddles)
+        for at in sg.saddle_cells:
+            twin[np.searchsorted(sites, at)] = True
+    opened = np.add(~face.ravel()[sites], twin, dtype=np.int32)
+    run = np.cumsum(opened, dtype=np.int32) - twin - 1  # the run of each cell's first segment
+    starts = np.repeat(sites, opened)
+    nrun = len(starts)
+    lengths = np.bincount(run, minlength=nrun)
+    lengths[run[twin] + 1] += 1
+    run_of = np.empty(signs.size, dtype=np.int32)
+    run_of[sites] = run
+
+    # crossed leading-axis faces link runs on neighbouring rows
+    rows, cols, seams = [np.empty(0, np.int32)], [np.empty(0, np.int32)], []  # d=1: none
+    for axis in range(d - 1):
+        dst = np.flatnonzero(_mixed(signs, [a for a in range(d) if a != axis]))
+        stride = M ** (d - 1 - axis)
+        at_seam = (dst // stride) % M == 0
+        src = dst - stride + M * stride * at_seam
+        a, b = run_of[src], run_of[dst]
+        if d == 2:
+            # the center sign hands a saddle cell's +e_0 face to its second
+            # segment on `anti`, its -e_0 face to its second segment on `main`
+            a += anti[src]
+            b += main[dst]
+        rows.append(a[~at_seam])
+        cols.append(b[~at_seam])
+        seams.append((a[at_seam], b[at_seam], axis))
+    # the last-axis seam: each row's column M-1 run meets its column 0 run
+    a = run_of[wrap + (M - 1)]
+    if d == 2:
+        a += main[wrap + (M - 1)] | anti[wrap + (M - 1)]
+    seams.append((a, run_of[wrap], d - 1))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(nrun, nrun))
+    npatch, patch = _sparse_components(graph, directed=False)
+    first = np.full(npatch, nrun)
+    np.minimum.at(first, patch, np.arange(nrun))
+    cells = np.bincount(patch, weights=lengths, minlength=npatch)
+    step = M * np.eye(d, dtype=np.int64)
+    links = [
+        (patch[a], patch[b], np.broadcast_to(step[axis], (len(a), d))) for a, b, axis in seams
+    ]
+
+    k, comp_cells, wraps, comp, lift = _merge_patches(d, first, cells, links)
+    comp, lift = comp[patch], np.take(lift, patch, axis=0)
+    # lifted box [lo, hi] of each component, one 1-D reduction per axis;
+    # a run's last-axis extent is its first cell to its last
+    lo = np.full((d, k), np.iinfo(np.int64).max)
+    hi = np.full((d, k), np.iinfo(np.int64).min)
+    for axis, coord in enumerate(np.unravel_index(starts, signs.shape)):
+        lifted = coord + lift[:, axis]
+        np.minimum.at(lo[axis], comp, lifted)
+        np.maximum.at(hi[axis], comp, lifted + (lengths - 1 if axis == d - 1 else 0))
+    h = 1.0 / M
+    diameters = h * np.sqrt(np.sum((hi - lo + 1).astype(float) ** 2, axis=0))
+    diameters[wraps] = 0.5
+    return k, comp_cells, diameters, wraps, comp, starts, lengths
+
+
 def count_components(
     sg: SignGrid,
 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -285,68 +394,21 @@ def count_components(
     center sign (marching-squares disambiguation).  Returns
     (k, cells, diameters, wraps, labels); diameters are lifted
     bounding-box diagonals in torus units, with wrapping components
-    assigned the lower bound 1/2.
+    assigned the lower bound 1/2.  Labels are int32, 1-based in raster
+    order of the components' first cells (0 off the zero set); a d=2
+    checkerboard cell takes the component of its segment touching the S
+    face.  They are `_components`' runs written back onto the grid.
     """
-    d, M = sg.d, sg.M
-    # cell j spans vertices j + {0,1}^d; a face is crossed when its own
-    # 2^(d-1) vertices carry both signs
-    sites = np.flatnonzero(_mixed(sg.signs, range(d)))
-    # nodes are numbered in raster order of their cells; in d=2 a
-    # checkerboard cell's second node, the zero-curve segment that does not
-    # touch its S face, takes the id right after its first
-    first_node = np.arange(len(sites), dtype=np.int32)
-    node_cells = sites
-    out_second = in_second = [None] * d
-    if d == 2:
-        main, anti = sg.saddles
-        saddle = main | anti
-        twin = saddle.ravel()[sites]
-        first_node += np.cumsum(twin, dtype=np.int32) - twin
-        node_cells = np.repeat(sites, 1 + twin)
-        # the center sign pairs faces (S,E)+(W,N) on `main`, (W,S)+(E,N) on `anti`
-        out_second, in_second = (anti, saddle), (main, None)
-    node_of = np.zeros(sg.signs.size, dtype=np.int32)
-    node_of[sites] = first_node
-
-    def node(cell: np.ndarray, second) -> np.ndarray:
-        return node_of[cell] if second is None else node_of[cell] + second.ravel()[cell]
-
-    rows, cols, seam = [], [], []
-    for axis in range(d):
-        others = [a for a in range(d) if a != axis]
-        src = np.flatnonzero(np.roll(_mixed(sg.signs, others), -1, axis=axis))
-        stride = M ** (d - 1 - axis)
-        at_seam = (src // stride) % M == M - 1
-        a = node(src, out_second[axis])
-        b = node(src + stride - M * stride * at_seam, in_second[axis])
-        rows.append(a[~at_seam])
-        cols.append(b[~at_seam])
-        rel = np.broadcast_to(M * np.eye(d, dtype=np.int64)[axis], (np.count_nonzero(at_seam), d))
-        seam.append((a[at_seam], b[at_seam], rel))
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    total = len(node_cells)
-    graph = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(total, total))
-    npatch, patch_of_node = _sparse_components(graph, directed=False)
-    first = np.full(npatch, np.iinfo(np.int64).max)
-    np.minimum.at(first, patch_of_node, np.arange(total))
-    cells = np.bincount(patch_of_node, minlength=npatch)
-    links = [(patch_of_node[a], patch_of_node[b], rel) for a, b, rel in seam]
-
-    k, comp_cells, wraps, comp, lift = _merge_patches(d, first, cells, links)
-    comp_of_node = comp[patch_of_node]
-    # lifted box [lo, hi] of each component, one 1-D reduction per axis
-    lo = np.full((d, k), np.iinfo(np.int64).max)
-    hi = np.full((d, k), np.iinfo(np.int64).min)
-    for axis, coord in enumerate(np.unravel_index(node_cells, sg.signs.shape)):
-        lifted = coord + lift[patch_of_node, axis]
-        np.minimum.at(lo[axis], comp_of_node, lifted)
-        np.maximum.at(hi[axis], comp_of_node, lifted)
-    h = 1.0 / M
-    diameters = h * np.sqrt(np.sum((hi - lo + 1).astype(float) ** 2, axis=0))
-    diameters[wraps] = 0.5
-    labels = np.zeros(sg.signs.shape, dtype=np.int32)
-    np.put(labels, sites, comp_of_node[first_node] + 1)
-    return k, comp_cells, diameters, wraps, labels
+    k, cells, diameters, wraps, comp, starts, lengths = _components(sg)
+    # a saddle cell ends one run and starts the next; it keeps the first's label
+    shared = np.zeros(len(starts), dtype=bool)
+    shared[1:] = starts[1:] == starts[:-1] + lengths[:-1] - 1
+    starts, lengths = starts + shared, lengths - shared
+    offset = np.cumsum(lengths) - lengths
+    cells_of_runs = np.repeat(starts - offset, lengths) + np.arange(lengths.sum())
+    labels = np.zeros(sg.signs.size, dtype=np.int32)
+    labels[cells_of_runs] = np.repeat(comp + 1, lengths)
+    return k, cells, diameters, wraps, labels.reshape(sg.signs.shape)
 
 
 @dataclass(frozen=True)
@@ -433,7 +495,7 @@ def _count(value: FieldGrid) -> NodalSummary:
     """Counts and geometry of one grid, before margins and certification."""
     sg = sign_grid(value)
     r, volumes, *_ = _domains(sg)
-    k, _, diameters, wraps, _ = count_components(sg)
+    k, _, diameters, wraps, *_ = _components(sg)
     return NodalSummary(
         k=k,
         r=r,

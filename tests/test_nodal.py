@@ -301,6 +301,8 @@ def test_sign_grid_saddle_split_matches_corner_mean():
             main, anti = sg.saddles
             assert np.array_equal(main, amb & (center_plus == signs))
             assert np.array_equal(anti, amb & (center_plus != signs))
+            for cells, split in zip(sg.saddle_cells, sg.saddles):
+                assert cells.dtype == np.intp and np.array_equal(cells, np.flatnonzero(split))
             split_cells += int(amb.sum())
     assert split_cells > 0
 
@@ -332,6 +334,78 @@ def test_domain_kernel_matches_count_domains(d, sizes):
             assert np.array_equal(labels, oracle)
             cells = np.bincount(oracle.ravel(), minlength=r + 1)[1:]
             assert np.array_equal(kvolumes, cells / float(M**d))
+
+
+@pytest.mark.parametrize("d, sizes", [(1, range(1, 30)), (2, range(1, 20)), (3, range(1, 9)),
+                                      (4, range(1, 6))])
+def test_component_kernel_matches_count_components(d, sizes):
+    rng = np.random.default_rng(200 + d)
+    for M in sizes:
+        for _ in range(3):
+            values = rng.integers(-1, 2, size=(M,) * d).astype(float)  # exact zeros count as +
+            values += rng.random(values.shape) * (rng.random(values.shape) < 0.3)
+            sg = nodal.sign_grid(field.FieldGrid(d=d, n=1, M=M, values=values))
+            k, cells, diams, wraps, labels = nodal.count_components(sg)
+            kk, kcells, kdiams, kwraps, comp, starts, lengths = nodal._components(sg)
+            assert kk == k
+            for ours, public in ((kcells, cells), (kdiams, diams), (kwraps, wraps)):
+                assert ours.dtype == public.dtype and np.array_equal(ours, public)
+            # the kernel's nodes are runs in raster order, each inside one row,
+            # and a d=2 saddle cell lies in two of them
+            assert np.all(np.diff(starts) >= 0) and np.all(starts % M + lengths <= M)
+            saddles = sum(map(len, sg.saddle_cells)) if d == 2 else 0
+            assert lengths.sum() == np.count_nonzero(labels) + saddles
+            assert np.array_equal(np.bincount(comp, weights=lengths, minlength=k), cells)
+            # and the public results against flood fills that share no code with the kernel
+            if d == 2:
+                _, segments, widths, oracle_wraps, oracle = flood_fill_components(
+                    sg.signs, sg.saddles[0]
+                )
+            else:
+                oracle, oracle_wraps, widths = flood_fill_components_nd(sg.signs)
+                segments = np.bincount(oracle.ravel(), minlength=k + 1)[1:]
+            assert labels.dtype == np.int32 and np.array_equal(labels, oracle)
+            assert np.array_equal(cells, segments)
+            assert np.array_equal(wraps, oracle_wraps)
+            lifted = np.sqrt(np.sum(widths.astype(float) ** 2, axis=1)) / M
+            assert diams == pytest.approx(np.where(oracle_wraps, 0.5, lifted), rel=1e-12)
+
+
+def test_component_runs_wind_across_last_axis_seam():
+    # two zero curves along the rows: each is one run of M cells that only
+    # the column M-1 -> column 0 seam closes on itself
+    M = 12
+    signs = np.ones((M, M), dtype=bool)
+    signs[3:6] = False
+    sg = nodal.sign_grid(field.FieldGrid(d=2, n=1, M=M, values=np.where(signs, 1.0, -1.0)))
+    assert_matches_d2_oracle(sg)
+    k, cells, diams, wraps, comp, starts, lengths = nodal._components(sg)
+    assert k == 2 and wraps.all() and np.all(diams == 0.5)
+    assert np.array_equal(cells, [M, M])
+    assert np.array_equal(starts, [2 * M, 5 * M]) and np.array_equal(lengths, [M, M])
+    assert np.array_equal(comp, [0, 1])
+
+
+def test_component_runs_split_at_a_seam_saddle():
+    # the saddle cell (i, M-1) has its two minus corners at (i+1, M-1) and
+    # (i, 0): its first segment ends the run from column M-2, and its second
+    # is a one-cell run that crosses the seam to column 0
+    M, i = 6, 2
+    saddle = i * M + M - 1
+    for minus, on_main, expected_k in ((-1.0, True, 2), (-3.0, False, 1)):
+        values = np.ones((M, M))
+        values[i, 0] = values[i + 1, M - 1] = minus  # corner mean 0 is +: main
+        sg = nodal.sign_grid(field.FieldGrid(d=2, n=1, M=M, values=values))
+        split, other = sg.saddle_cells if on_main else sg.saddle_cells[::-1]
+        assert split.tolist() == [saddle] and other.size == 0
+        assert_matches_d2_oracle(sg)
+        k, _, _, wraps, comp, starts, lengths = nodal._components(sg)
+        assert k == expected_k and not wraps.any()
+        row = starts // M == i
+        assert starts[row].tolist() == [i * M, saddle - 1, saddle]
+        assert lengths[row].tolist() == [1, 2, 1]
+        # the one-cell run and the column 0 run are one curve
+        assert comp[starts == saddle][0] == comp[starts == i * M][0]
 
 
 def assert_domains_match_oracles(values):
@@ -510,6 +584,18 @@ def test_analyze_summary_keeps_no_grid(d, n, M):
     summary = nodal.analyze(make_sample(d, n, 11), M)
     for f in dataclasses.fields(summary):
         assert np.size(getattr(summary, f.name)) < summary.M**d, f.name
+
+
+def test_analyze_counts_through_the_kernels(monkeypatch):
+    # the public counts write label grids; a trial counts without them
+    def refuse(sg):
+        raise AssertionError("a label grid on the trial path")
+
+    monkeypatch.setattr(nodal, "count_domains", refuse)
+    monkeypatch.setattr(nodal, "count_components", refuse)
+    for d, n, M in ((2, 65, 48), (3, 9, 12)):
+        summary = nodal.analyze(make_sample(d, n, 12), M)
+        assert summary.k > 0 and summary.r > 0
 
 
 def test_analyze_budget_admits_M_not_2M(monkeypatch):
