@@ -15,6 +15,10 @@ complex spectrum is formed.  The last axis holds at most floor(sqrt(n)) + 1
 nonnegative frequencies (bins).  When 16 * bins <= M it is finished by one
 real matrix product with a (2 * bins) x M table of inverse FFTs of unit
 bins, otherwise by a real inverse FFT of length M (see `eval_grid`).
+What does not depend on the coefficients (the folding, the DFT matrices
+and the table) is one cached plan per shell and M (`_plan`), and the last
+axis can be finished on any block of grid rows (`_spectrum_rows`), which
+lets `nodal.stability_margins` reduce the gradient with no M^d grid.
 
 Complex amplitude convention (single source of truth): the value placed at
 frequency +lambda is (a - i*b)/2 * sqrt(2/N), and its conjugate sits at
@@ -24,6 +28,7 @@ frequency +lambda is (a - i*b)/2 * sqrt(2/N), and its conjugate sits at
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -43,9 +48,10 @@ from .lattice import LatticeShell, orthogonality_sums
 
 DEFAULT_MEMORY_BUDGET_MB = 512
 # What one M^d grid costs against the budget: the tracemalloc peak of a
-# whole `nodal.analyze` per cell of its finest grid, which is 39 B at d=2
-# (n=1105) and d=3 (n=17), and 43 B on a 96^2 grid where fixed costs show,
-# rounded up.
+# whole `nodal.analyze` per cell of its finest grid, which is 23.4-24.2 B
+# at d=2 (n=1105) and 22.3-22.4 B at d=3 (n=17).  At the alias floor
+# (n=1105, M 68 -> 136) it is 72.5-80.0 B, because fixed costs dominate an
+# 18,496-cell grid; the budget matters only for large grids.
 ANALYZE_BYTES_PER_CELL = 48
 
 
@@ -199,6 +205,77 @@ def _amplitudes(sample: WaveSample, derivative: tuple[int, ...]) -> np.ndarray:
     return amp
 
 
+@functools.lru_cache(maxsize=1)
+def _plan(d: int, M: int, half_points: bytes):
+    """The coefficient-free part of a synthesis on the M^d grid.
+
+    Keyed on the half shell's bytes (a `LatticeShell` holds arrays and
+    cannot be hashed), so shells of different n never share a plan.  The
+    value grid and every derivative of one trial use it, and so do the
+    trials of one shell at one M.  Returns (flip, on_plane, index, dfts,
+    bins, table): which lambda fold onto -lambda, which lie on the
+    lambda_d = 0 plane, the spectrum index of each folded lambda, the
+    leading-axis M x k DFT matrices, the last axis's bin count, and its
+    (2 * bins) x M product table, or None on the irfft path.  Every array
+    is read-only.
+    """
+    lam = np.frombuffer(half_points, dtype=np.int64).reshape(-1, d)
+    flip = lam[:, -1] < 0
+    lam = np.where(flip[:, None], -lam, lam)
+    index, dfts = [], []
+    for axis in range(d - 1):
+        freqs, inverse = np.unique(lam[:, axis], return_inverse=True)
+        index.append(inverse)
+        phase = np.mod(np.outer(np.arange(M), freqs), M)  # exact integer phases
+        dfts.append(np.exp((2j * np.pi / M) * phase))
+    index.append(lam[:, -1])
+    bins = int(lam[:, -1].max()) + 1
+    table = None
+    if 16 * bins <= M:
+        # row b of the table is irfft of a unit at bin b, row bins + b of i
+        eye = np.eye(bins)
+        table = sfft.irfft(np.concatenate([eye, 1j * eye]), n=M, axis=-1, norm="forward")
+    on_plane = lam[:, -1] == 0
+    for array in [flip, on_plane, *index, *dfts] + ([] if table is None else [table]):
+        array.setflags(write=False)
+    return flip, on_plane, tuple(index), tuple(dfts), bins, table
+
+
+def _spectrum_rows(sample: WaveSample, M: int, derivative: tuple[int, ...]):
+    """The synthesis of `eval_grid` up to its last axis.
+
+    Returns (rows, finish): `rows` is the (M^(d-1), bins) complex spectrum
+    after the leading-axis DFTs, and `finish(rows[a:b])` gives the grid
+    rows a..b-1 (each of length M, C order), by the product with the
+    plan's table or by irfft.  A block of rows is finished exactly as the
+    whole grid would be, so callers that reduce a grid block by block
+    hold no M^d array.
+    """
+    shell = sample.shell
+    d = shell.d
+    require_alias_free(shell.n, M)
+    if M**d * ANALYZE_BYTES_PER_CELL > memory_budget_bytes():
+        raise MemoryBudgetExceeded(f"grid {M}^{d} exceeds the memory budget")
+    flip, on_plane, index, dfts, bins, table = _plan(d, M, shell.half_points.tobytes())
+    amp = _amplitudes(sample, derivative)
+    amp = np.where(flip, np.conj(amp), amp)
+    # the real FFT keeps only the real part of the last axis's zero bin, so
+    # a pair on the lambda_d = 0 plane enters once, doubled
+    amp = np.where(on_plane, 2.0 * amp, amp)
+    spectrum = np.zeros([dft.shape[1] for dft in dfts] + [bins], dtype=np.complex128)
+    spectrum[index] = amp
+    for axis, dft in enumerate(dfts):
+        spectrum = np.moveaxis(np.tensordot(dft, spectrum, axes=(1, axis)), 0, axis)
+    rows = spectrum.reshape(-1, bins)
+
+    def finish(block: np.ndarray) -> np.ndarray:
+        if table is None:
+            return sfft.irfft(block, n=M, axis=-1, norm="forward")
+        return np.concatenate([block.real, block.imag], axis=1) @ table
+
+    return rows, finish
+
+
 def eval_grid(sample: WaveSample, M: int, derivative: tuple[int, ...] = ()) -> FieldGrid:
     """Evaluate on the M^d periodic grid by pruned real synthesis.
 
@@ -221,45 +298,19 @@ def eval_grid(sample: WaveSample, M: int, derivative: tuple[int, ...] = ()) -> F
     near M = 8 * bins (M = 160 to 1088); at the alias floor the product
     is 8x slower (n = 10^6, M = 2001).
 
+    The folding, the DFT matrices and the table depend on the shell and M
+    alone; they come from the cached `_plan`, built once for a value grid
+    and its derivatives.  This is `_spectrum_rows` finished on all rows.
+
     Requires M alias-free (M >= 2*floor(sqrt(n)) + 1), which also keeps
     every folded lambda_d below the Nyquist bin M/2.
     """
     shell = sample.shell
-    d = shell.d
-    require_alias_free(shell.n, M)
-    cells = M**d
-    if cells * ANALYZE_BYTES_PER_CELL > memory_budget_bytes():
-        raise MemoryBudgetExceeded(f"grid {M}^{d} exceeds the memory budget")
-    amp = _amplitudes(sample, derivative)
-    lam = shell.half_points
-    flip = lam[:, -1] < 0
-    lam = np.where(flip[:, None], -lam, lam)
-    amp = np.where(flip, np.conj(amp), amp)
-    # the real FFT keeps only the real part of the last axis's zero bin, so
-    # a pair on the lambda_d = 0 plane enters once, doubled
-    amp = np.where(lam[:, -1] == 0, 2.0 * amp, amp)
-    index, dfts = [], []
-    for axis in range(d - 1):
-        freqs, inverse = np.unique(lam[:, axis], return_inverse=True)
-        index.append(inverse)
-        phase = np.mod(np.outer(np.arange(M), freqs), M)  # exact integer phases
-        dfts.append(np.exp((2j * np.pi / M) * phase))
-    bins = int(lam[:, -1].max()) + 1
-    spectrum = np.zeros([dft.shape[1] for dft in dfts] + [bins], dtype=np.complex128)
-    spectrum[tuple(index) + (lam[:, -1],)] = amp
-    for axis, dft in enumerate(dfts):
-        spectrum = np.moveaxis(np.tensordot(dft, spectrum, axes=(1, axis)), 0, axis)
-    if 16 * bins <= M:
-        # row b of the table is irfft of a unit at bin b, row bins + b of i
-        eye = np.eye(bins)
-        table = sfft.irfft(np.concatenate([eye, 1j * eye]), n=M, axis=-1, norm="forward")
-        rows = spectrum.reshape(-1, bins)
-        values = (np.concatenate([rows.real, rows.imag], axis=1) @ table).reshape((M,) * d)
-    else:
-        values = sfft.irfft(spectrum, n=M, axis=-1, norm="forward")
+    rows, finish = _spectrum_rows(sample, M, derivative)
+    values = finish(rows).reshape((M,) * shell.d)
     values.setflags(write=False)
     return FieldGrid(
-        d=d,
+        d=shell.d,
         n=shell.n,
         M=M,
         values=values,

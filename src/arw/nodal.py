@@ -38,13 +38,14 @@ from scipy.sparse.csgraph import connected_components as _sparse_components
 
 from . import rng
 from .errors import MemoryBudgetExceeded, PerturbationTooLarge, Uncertified
-from .field import FieldGrid, WaveSample, eval_grid, sample_from_arrays
+from .field import FieldGrid, WaveSample, _spectrum_rows, eval_grid, sample_from_arrays
 
 # The nearest vertex is at most half a cell diagonal away (stability_margins).
 _GUARD = 0.5
 # Counts may move by max(1, this fraction of the count) across a grid doubling.
 _DRIFT_TOLERANCE = 0.02
-# stability_margins reduces its grids in blocks of about this many cells.
+# stability_margins synthesizes and reduces the gradient in row blocks of
+# about this many cells.
 _MARGIN_BLOCK_CELLS = 1 << 15
 
 
@@ -276,6 +277,8 @@ def count_domains(sg: SignGrid) -> tuple[int, np.ndarray, np.ndarray]:
 
 def _mixed(signs: np.ndarray, axes) -> np.ndarray:
     """True at j when the vertices j + {0,1}^axes (periodic) carry both signs."""
+    if len(axes) == 1:
+        return signs != np.roll(signs, -1, axis=axes[0])
     pos, neg = signs, ~signs
     for axis in axes:
         pos = pos & np.roll(pos, -1, axis=axis)
@@ -427,19 +430,40 @@ class Margins:
     mu: float
 
 
+def _gradient_norm_blocks(sample: WaveSample, M: int):
+    """Yield (rows, |grad f| on those grid rows) over blocks of about
+    _MARGIN_BLOCK_CELLS cells; each block synthesizes only its rows of the
+    d first derivatives (`field._spectrum_rows`)."""
+    d = sample.shell.d
+    derivatives = [_spectrum_rows(sample, M, (axis,)) for axis in range(d)]
+    step = max(1, _MARGIN_BLOCK_CELLS // M)
+    for start in range(0, M ** (d - 1), step):
+        rows = slice(start, start + step)
+        (spectrum, finish), *rest = derivatives
+        total = np.square(finish(spectrum[rows]))  # 0.0 + x^2 == x^2
+        for spectrum, finish in rest:
+            total += np.square(finish(spectrum[rows]))
+        yield rows, np.sqrt(total, out=total)
+
+
 def gradient_norm_grid(sample: WaveSample, M: int) -> np.ndarray:
-    total = np.square(eval_grid(sample, M, (0,)).values)  # 0.0 + x^2 == x^2
-    for axis in range(1, sample.shell.d):
-        total += np.square(eval_grid(sample, M, (axis,)).values)
-    return np.sqrt(total, out=total)
+    """|grad f| on the M^d grid, assembled from the row blocks that
+    `stability_margins` reduces; equal to the norm of the d derivative
+    grids of `eval_grid`."""
+    d = sample.shell.d
+    out = np.empty((M ** (d - 1), M))
+    for rows, gradnorm in _gradient_norm_blocks(sample, M):
+        out[rows] = gradnorm
+    return out.reshape((M,) * d)
 
 
-def stability_margins(
-    sample: WaveSample,
-    grid_value: FieldGrid,
-    grid_gradnorm: np.ndarray,
-) -> Margins:
+def stability_margins(sample: WaveSample, grid_value: FieldGrid) -> Margins:
     """Margins (alpha, beta) and the analytic between-vertex certificate.
+
+    mu = min over vertices of max(|f|, |grad f| / (2 pi L)) is reduced
+    over row blocks of the grid: each block synthesizes only its rows of
+    the d first derivatives (`field._spectrum_rows`), so no derivative or
+    |grad f| grid is built.  The minimum of the block minima is exact.
 
     The variation budget uses the l1 coefficient bound rho_c: B1 = 2*pi*L*rho_c
     bounds |grad f|, B2 = (2*pi*L)^2*rho_c bounds the Hessian norm, and the
@@ -452,16 +476,14 @@ def stability_margins(
         raise ValueError("stability_margins expects a value grid")
     shell = sample.shell
     L = shell.L
-    # mu = min(max(|f|, |grad f| / (2 pi L))) over blocks of rows, with no
-    # full-grid temporary; the minimum over the block minima is exact
     M = grid_value.M
-    values = grid_value.values.reshape(-1, M)
-    gradnorm = grid_gradnorm.reshape(-1, M)
-    step = max(1, _MARGIN_BLOCK_CELLS // M)
+    values = grid_value.values
+    if values.shape != (M,) * shell.d:
+        raise ValueError(f"grid of shape {values.shape} for a d={shell.d} sample at M={M}")
+    values = values.reshape(-1, M)
     lows = []
-    for start in range(0, len(values), step):
-        rows = slice(start, start + step)
-        scaled = gradnorm[rows] / (2.0 * np.pi * L)
+    for rows, scaled in _gradient_norm_blocks(sample, M):
+        scaled /= 2.0 * np.pi * L
         lows.append(np.maximum(np.abs(values[rows]), scaled, out=scaled).min())
     mu = float(np.min(lows))
     rho_c = sample.coeff_l1_bound()
@@ -533,8 +555,8 @@ def analyze(sample: WaveSample, M: int, auto_refine: bool = False) -> NodalSumma
     With `auto_refine`, the grid keeps doubling until (k, r) are unchanged
     for two consecutive refinements or the memory budget is hit.  The
     summary reports the counts and geometry of the finest grid computed,
-    but keeps no grid; the gradient grids and margins are computed for that
-    grid only.
+    but keeps no grid; the margins are computed for that grid only, over
+    row blocks of its gradient, with no derivative grid.
 
     Certification is heuristic, not a proof.  A summary is certified when
     either the conservative analytic margin certificate fires, or all of:
@@ -572,7 +594,7 @@ def analyze(sample: WaveSample, M: int, auto_refine: bool = False) -> NodalSumma
         stabilized = _settled(history)
     else:
         stabilized = len(history) == 2 and _drift_ok(*history)
-    margins = stability_margins(sample, value, gradient_norm_grid(sample, value.M))
+    margins = stability_margins(sample, value)
 
     gate = summary.r - 1 <= summary.k <= summary.r + sample.shell.d - 1
     certified = gate and (margins.certified or (stabilized and margins.mu > _mu_floor(sample)))

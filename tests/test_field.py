@@ -121,7 +121,8 @@ def _last_axis_bins(shell):
 def _spy_last_axis(monkeypatch):
     """Record the input shape of every irfft `eval_grid` makes: (2*bins,
     bins) builds the table of the product path, anything else is the
-    irfft path's spectrum."""
+    irfft path's spectrum.  The table is built with the cached plan, so a
+    caller clears `field._plan` wherever it clears the shapes."""
     shapes = []
 
     def irfft(x, *args, **kwargs):
@@ -146,6 +147,7 @@ def test_last_axis_product_matches_full_fft_and_points(monkeypatch):
             idx = rng.integers(0, M, size=(64, d))
             for tag in tags:
                 shapes.clear()
+                field._plan.cache_clear()
                 grid = field.eval_grid(sample, M, tag).values
                 product = shapes == [(2 * bins, bins)]
                 assert product == (M >= 16 * bins), (d, M, shapes)
@@ -165,11 +167,47 @@ def test_even_slice_of_product_grid_matches_irfft_grid(monkeypatch):
         bins = _last_axis_bins(sample.shell)
         for tag in ((), (0,), (1,)):
             shapes.clear()
+            field._plan.cache_clear()
             coarse = field.eval_grid(sample, M, tag).values
             fine = field.eval_grid(sample, 2 * M, tag).values[::2, ::2]
             assert shapes[0] != (2 * bins, bins) and shapes[1:] == [(2 * bins, bins)]
             scale = max(1.0, float(np.max(np.abs(coarse))))
             assert np.max(np.abs(fine - coarse)) <= 1e-12 * scale, (n, tag)
+
+
+def test_cached_plan_keeps_grids_and_shells_apart():
+    # warm and cold plans give the same bits, every plan belongs to one
+    # shell, and a plan's arrays cannot be written through
+    for d, n, M in ((2, 325, 576), (2, 25, 80), (3, 5, 50), (3, 5, 40)):
+        sample = field.sample_coefficients(lattice.enumerate_shell(d, n), 44, 0)
+        for tag in [()] + [(i,) for i in range(d)]:
+            field._plan.cache_clear()
+            cold = field.eval_grid(sample, M, tag).values
+            warm = field.eval_grid(sample, M, tag).values
+            assert field._plan.cache_info().hits >= 1
+            assert cold.tobytes() == warm.tobytes(), (d, n, M, tag)
+    # same d, M and shell size, different n: each shell gets its own plan
+    # and its own grid, whichever shell warmed the cache before it
+    M = 64
+    shells = [lattice.enumerate_shell(2, n) for n in (5, 13)]
+    assert shells[0].dim_HL == shells[1].dim_HL
+    samples = [field.sample_coefficients(shell, 45, 0) for shell in shells]
+    cold = []
+    for s in samples:
+        field._plan.cache_clear()
+        cold.append(field.eval_grid(s, M).values)
+    for s, other, grid in zip(samples, samples[::-1], cold):
+        field.eval_grid(other, M)
+        assert np.array_equal(field.eval_grid(s, M).values, grid)
+    plans = [field._plan(2, M, shell.half_points.tobytes()) for shell in shells]
+    assert plans[0] is not plans[1]
+    assert not np.array_equal(cold[0], cold[1])
+    for flip, on_plane, index, dfts, bins, table in plans:
+        assert table is not None  # 16 * bins <= 64: the product path
+        for array in [flip, on_plane, *index, *dfts, table]:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.flat[0] = array.flat[0]
 
 
 def test_one_bin_rows_of_the_product_keep_irfft_zeros():

@@ -484,26 +484,42 @@ def test_domain_runs_tiny_grids_and_zeros():
             assert_domains_match_oracles(rng.integers(-1, 2, size=(M,) * d).astype(float))
 
 
-@pytest.mark.parametrize("d, M", [(2, 1000), (3, 50)])
-def test_stability_margins_blocks_keep_mu_exact(d, M):
+@pytest.mark.parametrize(
+    "d, n, M, product",
+    [(2, 5, 1000, True), (2, 1105, 300, False), (3, 5, 50, True), (3, 5, 40, False)],
+    ids=["2-1000", "2-300", "3-50", "3-40"],
+)
+def test_stability_margins_blocks_keep_mu_exact(d, n, M, product):
     step = nodal._MARGIN_BLOCK_CELLS // M
     rows = M ** (d - 1)
     assert rows > step and rows % step != 0  # several blocks, the last one partial
-    sample = make_sample(d, 5, 3)
+    sample = make_sample(d, n, 3)
+    bins = int(sample.shell.half_points[:, -1].max()) + 1
+    assert (16 * bins <= M) == product  # the last axis by the product or by irfft
     L = sample.shell.L
-    rng = np.random.default_rng(d)
-    for where in (0, -1):  # the minimum in the first block, then in the partial last one
-        values = rng.standard_normal((M,) * d)
-        gradnorm = np.abs(rng.standard_normal((M,) * d)) * 2.0 * np.pi * L
+    gradnorm = nodal.gradient_norm_grid(sample, M)
+    assert np.array_equal(gradnorm, np.sqrt(sum(
+        np.square(field.eval_grid(sample, M, (axis,)).values) for axis in range(d)
+    )))
+    for where in (0, rows * M - 1):  # the first vertex, then the partial last block's last
+        values = np.full((M,) * d, 1e3)
         values.ravel()[where] = 1e-9
-        gradnorm.ravel()[where] = 1e-9
-        gradnorm.setflags(write=False)
-        before = gradnorm.copy()
-        grid = field.FieldGrid(d=d, n=5, M=M, values=values)
-        mu = nodal.stability_margins(sample, grid, gradnorm).mu
+        grid = field.FieldGrid(d=d, n=n, M=M, values=values)
+        mu = nodal.stability_margins(sample, grid).mu
         expected = float(np.min(np.maximum(np.abs(values), gradnorm / (2 * np.pi * L))))
         assert mu == expected
-        assert np.array_equal(gradnorm, before)
+        assert expected < 1e3  # the minimum sits at `where`
+
+
+def test_mixed_one_axis_is_the_all_sign_reduction():
+    # one axis: mixed exactly where neither all-+ nor all-- holds
+    rng = np.random.default_rng(17)
+    for shape in ((9, 7), (5, 6, 4)):
+        signs = rng.random(shape) < 0.5
+        for axis in range(len(shape)):
+            rolled = np.roll(signs, -1, axis)
+            expected = ~((signs & rolled) | (~signs & ~rolled))
+            assert np.array_equal(nodal._mixed(signs, [axis]), expected), (shape, axis)
 
 
 def test_offset_union_find_wraps_and_lifts():
@@ -533,9 +549,7 @@ def test_offset_union_find_wraps_and_lifts():
 def test_stability_margins_cosine():
     cosx = cosine_sample()
     for M, expected in ((8, False), (16, True), (32, True)):
-        grid = field.eval_grid(cosx, M)
-        gradnorm = nodal.gradient_norm_grid(cosx, M)
-        margins = nodal.stability_margins(cosx, grid, gradnorm)
+        margins = nodal.stability_margins(cosx, field.eval_grid(cosx, M))
         assert margins.mu >= 1 / math.sqrt(2) - 1e-12
         assert margins.certified is expected
     assert margins.alpha == pytest.approx(margins.mu / 2)
@@ -546,24 +560,26 @@ def test_stability_margins_degenerate_pair():
     shell = lattice.enumerate_shell(2, 1)
     coscos = field.sample_from_arrays(shell, np.array([math.sqrt(2), math.sqrt(2)]), np.zeros(2))
     for M in (16, 33, 64):
-        grid = field.eval_grid(coscos, M)
-        gradnorm = nodal.gradient_norm_grid(coscos, M)
-        assert not nodal.stability_margins(coscos, grid, gradnorm).certified
+        assert not nodal.stability_margins(coscos, field.eval_grid(coscos, M)).certified
 
 
 def test_stability_margins_zero_field():
     shell = lattice.enumerate_shell(2, 1)
     zero = field.sample_from_arrays(shell, np.zeros(2), np.zeros(2))
     grid = field.eval_grid(zero, 16)
-    margins = nodal.stability_margins(zero, grid, nodal.gradient_norm_grid(zero, 16))
+    margins = nodal.stability_margins(zero, grid)
     assert margins.mu == 0.0 and not margins.certified
+    # the gradient rows come from the sample, so the grid must be its M^d
+    cube = field.FieldGrid(d=3, n=1, M=16, values=np.zeros((16, 16, 16)))
+    with pytest.raises(ValueError):
+        nodal.stability_margins(zero, cube)
 
 
 def test_margin_dichotomy_holds_at_vertices():
     sample = make_sample(2, 65, 5)
     grid = field.eval_grid(sample, 32)
     gradnorm = nodal.gradient_norm_grid(sample, 32)
-    margins = nodal.stability_margins(sample, grid, gradnorm)
+    margins = nodal.stability_margins(sample, grid)
     L = math.sqrt(65)
     ok = (np.abs(grid.values) > margins.alpha) | (gradnorm > margins.beta * L)
     assert ok.all()
@@ -598,14 +614,34 @@ def test_analyze_counts_through_the_kernels(monkeypatch):
         assert summary.k > 0 and summary.r > 0
 
 
+def test_analyze_builds_no_gradient_grid(monkeypatch):
+    # margins reduce row blocks of the derivative syntheses: one eval_grid
+    # call per trial, at 2M, and no derivative or |grad f| grid
+    def refuse(sample, M):
+        raise AssertionError("a gradient grid on the trial path")
+
+    calls = []
+    real = nodal.eval_grid
+
+    def spy(sample, M, derivative=()):
+        calls.append((M, tuple(derivative)))
+        return real(sample, M, derivative)
+
+    monkeypatch.setattr(nodal, "gradient_norm_grid", refuse)
+    monkeypatch.setattr(nodal, "eval_grid", spy)
+    for d, n, M in ((2, 65, 48), (3, 9, 12)):
+        calls.clear()
+        summary = nodal.analyze(make_sample(d, n, 12), M)
+        assert calls == [(2 * M, ())]
+        assert summary.M == 2 * M and summary.mu > 0.0
+
+
 def test_analyze_budget_admits_M_not_2M(monkeypatch):
     sample = make_sample(2, 25, 13)
     M = 128
     fine = nodal.analyze(sample, M)
     assert (fine.M, fine.refinement_levels) == (2 * M, 1)
-    fine_margins = nodal.stability_margins(
-        sample, field.eval_grid(sample, 2 * M), nodal.gradient_norm_grid(sample, 2 * M)
-    )
+    fine_margins = nodal.stability_margins(sample, field.eval_grid(sample, 2 * M))
     assert (fine.alpha, fine.mu) == (fine_margins.alpha, fine_margins.mu)
 
     # 1 MiB admits 128^2 cells and refuses 256^2
@@ -613,7 +649,7 @@ def test_analyze_budget_admits_M_not_2M(monkeypatch):
     summary = nodal.analyze(sample, M)
     assert (summary.M, summary.refinement_levels) == (M, 0)
     value = field.eval_grid(sample, M)
-    margins = nodal.stability_margins(sample, value, nodal.gradient_norm_grid(sample, M))
+    margins = nodal.stability_margins(sample, value)
     assert (summary.alpha, summary.beta, summary.mu) == (margins.alpha, margins.beta, margins.mu)
     # the M grid alone: counts of a direct synthesis, certified only by the
     # analytic margin test because no doubling was checked
