@@ -18,6 +18,12 @@ first cell to its last, so the lifted component boxes behind the
 diameters reduce over runs.  A trial's counts build no label grid; only
 the public counts map their components back onto the grid.
 
+`analyze` runs a trial's coarse count and margins on a second thread
+while the calling thread runs its fine count, when the finest grid has
+at least `_OVERLAP_CELLS` cells and the process has two cores to itself;
+NumPy releases the GIL inside its kernels, and on smaller grids the two
+threads mostly contend for it instead.
+
 Counting on a grid is a discretization heuristic: two features closer than
 one cell can merge.  The `certified` flag combines a conservative
 analytic margin test with agreement of the counts under grid doubling,
@@ -27,6 +33,8 @@ which is the operational stand-in for continuum counting.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from operator import add, sub
 
@@ -36,6 +44,7 @@ from scipy.optimize import brentq
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as _sparse_components
 
+from . import field as field_module
 from . import rng
 from .errors import MemoryBudgetExceeded, PerturbationTooLarge, Uncertified
 from .field import FieldGrid, WaveSample, _spectrum_rows, eval_grid, sample_from_arrays
@@ -47,6 +56,15 @@ _DRIFT_TOLERANCE = 0.02
 # stability_margins synthesizes and reduces the gradient in row blocks of
 # about this many cells.
 _MARGIN_BLOCK_CELLS = 1 << 15
+# analyze overlaps the coarse count and the margins with the fine count
+# only from this many finest cells: the two threads contend for the GIL
+# between NumPy calls, so small grids lose.  Median analyze time per trial,
+# serial -> overlapped (2-core VM, one BLAS thread, 3-5 alternating
+# rounds): 96^2 2.2-3.1 -> 3.8-4.1 ms, 288^2 5.4-6.0 -> 6.2-6.7 ms, 384^2
+# and 48^3 level, 448^2 9.5-11.5 -> 8.9-10.5 ms, 608^2 18-22 -> 15-16 ms,
+# 1088^2 57-64 -> 40-41 ms, 64^3 22-25 -> 17-20 ms, 160^3 207-237 ->
+# 150-189 ms.
+_OVERLAP_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -529,6 +547,20 @@ def _count(value: FieldGrid) -> NodalSummary:
     )
 
 
+def _coarse(value: FieldGrid, M: int) -> tuple[int, int]:
+    """(k, r) of the M grid, read from the 2M grid's even-index vertices."""
+    coarse = _count(replace(value, M=M, values=value.values[(slice(None, None, 2),) * value.d]))
+    return coarse.k, coarse.r
+
+
+def _spare_core() -> bool:
+    """True when this process has a core to itself beyond its share: a
+    pool worker of `experiments.run_trials` shares the cores it may run on
+    with the pool's other workers."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return cores // field_module._budget_shares >= 2
+
+
 def _mu_floor(sample: WaveSample) -> float:
     # synthesis noise scale: treat vertex margins at rounding level as zero.
     # eval_grid's two last-axis paths (irfft, or the product with a table of
@@ -558,6 +590,16 @@ def analyze(sample: WaveSample, M: int, auto_refine: bool = False) -> NodalSumma
     but keeps no grid; the margins are computed for that grid only, over
     row blocks of its gradient, with no derivative grid.
 
+    Without `auto_refine`, once the 2M grid is synthesized, the M count and
+    then the margins run on one worker thread while the calling thread
+    counts 2M.  This happens only when the 2M grid has at least
+    `_OVERLAP_CELLS` cells and the process has two cores to itself: its
+    CPU affinity divided by the pool workers that share it
+    (`field._budget_shares`).  Otherwise, and on the budget-refusal and
+    `auto_refine` paths, the stages run in order on the calling thread.
+    The thread is joined before the summary is built, also when a stage
+    raises, so none outlives the call; the summary is the same either way.
+
     Certification is heuristic, not a proof.  A summary is certified when
     either the conservative analytic margin certificate fires, or all of:
     the vertex margin is positive (above FFT noise), the component/domain
@@ -571,17 +613,23 @@ def analyze(sample: WaveSample, M: int, auto_refine: bool = False) -> NodalSumma
     Degenerate fields yield certified=False, never an error.
     """
     history = []
+    margins = None
     try:
         value = eval_grid(sample, 2 * M)
     except MemoryBudgetExceeded:
         value = eval_grid(sample, M)
+        summary = _count(value)
     else:
-        coarse = _count(
-            replace(value, M=M, values=value.values[(slice(None, None, 2),) * value.d])
-        )
-        history.append((coarse.k, coarse.r))
-        del coarse  # only (k, r) is read; free its grids before 2M is counted
-    summary = _count(value)
+        if not auto_refine and value.values.size >= _OVERLAP_CELLS and _spare_core():
+            # the pool's thread is joined when the block exits, also on error
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                side = pool.submit(lambda: (_coarse(value, M), stability_margins(sample, value)))
+                summary = _count(value)
+                coarse, margins = side.result()
+        else:
+            coarse = _coarse(value, M)
+            summary = _count(value)
+        history.append(coarse)
     history.append((summary.k, summary.r))
     while auto_refine and not _settled(history):
         try:
@@ -594,7 +642,8 @@ def analyze(sample: WaveSample, M: int, auto_refine: bool = False) -> NodalSumma
         stabilized = _settled(history)
     else:
         stabilized = len(history) == 2 and _drift_ok(*history)
-    margins = stability_margins(sample, value)
+    if margins is None:
+        margins = stability_margins(sample, value)
 
     gate = summary.r - 1 <= summary.k <= summary.r + sample.shell.d - 1
     certified = gate and (margins.certified or (stabilized and margins.mu > _mu_floor(sample)))

@@ -1,13 +1,14 @@
 import ctypes
 import dataclasses
 import math
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from arw import experiments
+from arw import experiments, nodal
 from arw.errors import InsufficientTrials, ValidationError
 from arw.experiments import (
     MPolicy,
@@ -62,6 +63,21 @@ def test_run_trials_parallelism_determinism():
         assert a.min_domain_vol == b.min_domain_vol
         assert a.sum_diameters == b.sum_diameters
         assert a.alpha == b.alpha and a.beta == b.beta
+
+
+def test_run_trials_forks_after_overlapped_analyze(monkeypatch):
+    # analyze joins its worker thread, so the pool forks a process with no
+    # live threads; with the core-count decision pinned, the forked workers
+    # overlap their stages too
+    monkeypatch.setattr(nodal, "_spare_core", lambda: True)
+    policy = MPolicy.parse("per_L:16")
+    assert (2 * policy.grid_size(325)) ** 2 >= nodal._OVERLAP_CELLS
+    before = threading.active_count()
+    seq = run_trials(2, 325, 4, policy, 1904, parallelism=1)
+    assert threading.active_count() == before
+    par = run_trials(2, 325, 4, policy, 1904, parallelism=2)
+    strip = [dataclasses.replace(rec, wall_time_ms=0.0) for rec in seq]
+    assert strip == [dataclasses.replace(rec, wall_time_ms=0.0) for rec in par]
 
 
 def _blas_threads():

@@ -1,7 +1,9 @@
 import dataclasses
 import math
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -687,6 +689,107 @@ def test_memory_charge_covers_analyze_peak(monkeypatch, d, n, M):
     assert summary.M == 2 * M
     # ... and the per-cell charge covers what analyze really holds at its peak
     assert peak <= field.ANALYZE_BYTES_PER_CELL * summary.M**d
+
+
+def _force_path(monkeypatch, overlap):
+    """Pin analyze's core-count decision; returns a list that gains one
+    entry per worker thread pool analyze opens."""
+    opened = []
+
+    class Executor(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(nodal, "_spare_core", lambda: overlap)
+    monkeypatch.setattr(nodal, "ThreadPoolExecutor", Executor)
+    return opened
+
+
+def assert_same_summary(a, b):
+    for f in dataclasses.fields(a):
+        assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+
+
+@pytest.mark.parametrize("d, n, M", [(2, 325, 304), (2, 1105, 544), (3, 9, 32)])
+@pytest.mark.parametrize("auto_refine", [False, True])
+def test_overlapped_analyze_equals_serial(monkeypatch, d, n, M, auto_refine):
+    # 2M is above the overlap floor; the coarse count and the margins move to
+    # a worker thread, and every summary field stays the same
+    assert (2 * M) ** d >= nodal._OVERLAP_CELLS
+    sample = make_sample(d, n, 1901)
+    summaries = {}
+    for overlap in (False, True):
+        opened = _force_path(monkeypatch, overlap)
+        summaries[overlap] = nodal.analyze(sample, M, auto_refine=auto_refine)
+        assert len(opened) == (overlap and not auto_refine)
+    assert_same_summary(summaries[False], summaries[True])
+
+
+def test_analyze_below_overlap_floor_stays_serial(monkeypatch):
+    sample = make_sample(2, 65, 1902)
+    M = 144
+    assert (2 * M) ** 2 < nodal._OVERLAP_CELLS
+    serial = nodal.analyze(sample, M)
+    opened = _force_path(monkeypatch, True)
+    assert_same_summary(nodal.analyze(sample, M), serial)
+    assert opened == []
+
+
+def test_overlapped_analyze_leaves_no_thread(monkeypatch):
+    opened = _force_path(monkeypatch, True)
+    sample = make_sample(2, 325, 1903)
+    before = threading.active_count()
+    nodal.analyze(sample, 304)
+    assert opened == [{"max_workers": 1}]
+    assert threading.active_count() == before
+
+    def fail(sample, grid_value):
+        raise ValueError("margins failed")
+
+    # a stage that raises on the worker thread raises from analyze, and the
+    # thread is joined all the same
+    monkeypatch.setattr(nodal, "stability_margins", fail)
+    with pytest.raises(ValueError, match="margins failed"):
+        nodal.analyze(sample, 304)
+    assert len(opened) == 2
+    assert threading.active_count() == before
+
+
+def test_d3_kernel_field_with_several_components(monkeypatch):
+    # Random d=3 trials on affordable grids have k = 1, r = 2.  The
+    # covariance-kernel field (all a = 1, b = 0) has bounded nodal domains;
+    # a small random field from the same shell keeps it generic.  Shells
+    # n < 5 give k > 1 on at most one coarse grid up to M = 16; at n = 5,
+    # M = 7 is the first grid with k > 1.  Small-n counts still depend on
+    # the grid (this field has k = 1 at M = 8, 12 and 16, and trial 0's at
+    # every even M up to 16), so analyze runs at M = 32, where both levels
+    # give k = 3.
+    shell = lattice.enumerate_shell(3, 5)
+    rand = field.sample_coefficients(shell, 0, 1)
+    sample = field.sample_from_arrays(shell, 1.0 + 0.05 * np.asarray(rand.a), 0.05 * np.asarray(rand.b))
+    for M in range(field.min_alias_free_M(5), 7):
+        sg = nodal.sign_grid(field.eval_grid(sample, M))
+        assert nodal.count_components(sg)[0] == 1
+    sg = nodal.sign_grid(field.eval_grid(sample, 7))
+    assert sg.zero_hits == 0
+    r, k = assert_matches_nd_oracles(sg)
+    assert (k, r) == (3, 4)
+    assert r - 1 <= k <= r + 2
+
+    # the same field through analyze, with 2M above the overlap floor, on
+    # the serial and the overlapped path
+    M = 32
+    assert (2 * M) ** 3 >= nodal._OVERLAP_CELLS
+    summaries = {}
+    for overlap in (False, True):
+        opened = _force_path(monkeypatch, overlap)
+        summaries[overlap] = nodal.analyze(sample, M)
+        assert len(opened) == overlap
+    assert_same_summary(summaries[False], summaries[True])
+    summary = summaries[True]
+    assert summary.zero_hits == 0
+    assert (summary.k, summary.r, summary.certified) == (3, 4, True)
 
 
 def test_analyze_gate_random():
