@@ -17,7 +17,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import groupby
 from typing import Optional
 
@@ -166,28 +166,38 @@ def _rep_table(k: int, n_max: int) -> np.ndarray:
     """Table of r_k(m) for m <= n_max, by iterated convolution with R1.
 
     A cached table too short for n_max is rebuilt at least twice as long,
-    so a loop over rising n rebuilds O(log n) times, not once per n.
+    so a loop over rising n rebuilds O(log n) times, not once per n.  Each
+    level needs the one below it at its own size, so the sizes are planned
+    from level k down to the highest level whose cached table is long
+    enough (or to level 1), and the levels are then built upward in a loop.
     """
-    cached = _REP_TABLE_CACHE.get(k)
-    if cached is not None and len(cached) > n_max:
-        return cached[: n_max + 1]
-    size = n_max if cached is None else max(n_max, 2 * len(cached))
-    if k == 1:
-        table = _square_count_table(size)
-    else:
-        prev = _rep_table(k - 1, size)
-        # r_k(m + 1) >= 2 * r_(k-1)(m), so past this bound the table overflows
-        if int(prev[:size].max(initial=0)) > INT64_MAX // 2:
-            raise Overflow(f"r_{k}(m) exceeds 64-bit range for some m <= {size}")
-        twice = 2 * prev[:size]
-        table = prev.copy()  # a = 0 term
-        for a in range(1, math.isqrt(size) + 1):
-            sq = a * a
-            table[sq:] += twice[: size + 1 - sq]
-            # both addends are nonnegative, so a sum past int64 wraps negative
-            if table[sq:].min() < 0:
-                raise Overflow(f"r_{k}(m) exceeds 64-bit range for some m <= {size}")
-    _REP_TABLE_CACHE[k] = table
+    plan = []  # (level, size) to build, from the top down
+    level, size = k, n_max
+    while level >= 1:
+        cached = _REP_TABLE_CACHE.get(level)
+        if cached is not None and len(cached) > size:
+            break
+        size = size if cached is None else max(size, 2 * len(cached))
+        plan.append((level, size))
+        level -= 1
+    table = _REP_TABLE_CACHE.get(level)
+    for level, size in reversed(plan):
+        if level == 1:
+            table = _square_count_table(size)
+        else:
+            prev = table[: size + 1]
+            # r_k(m + 1) >= 2 * r_(k-1)(m), so past this bound the table overflows
+            if int(prev[:size].max(initial=0)) > INT64_MAX // 2:
+                raise Overflow(f"r_{level}(m) exceeds 64-bit range for some m <= {size}")
+            twice = 2 * prev[:size]
+            table = prev.copy()  # a = 0 term
+            for a in range(1, math.isqrt(size) + 1):
+                sq = a * a
+                table[sq:] += twice[: size + 1 - sq]
+                # both addends are nonnegative, so a sum past int64 wraps negative
+                if table[sq:].min() < 0:
+                    raise Overflow(f"r_{level}(m) exceeds 64-bit range for some m <= {size}")
+        _REP_TABLE_CACHE[level] = table
     return table[: n_max + 1]
 
 
@@ -350,7 +360,17 @@ def admissible_sequence(
         raise UnknownPolicy(f"policy {policy!r}; expected one of {POLICIES}")
     _check_n(n_max)
 
-    sizes = {n: representation_count(d, n) for n in range(max(n_min, 1), n_max + 1)}
+    ns = range(max(n_min, 1), n_max + 1)
+    if not ns:
+        return []
+    check_shell_args(d, n_max)
+    try:
+        count_of = _rep_table(d, n_max).tolist().__getitem__  # every shell size at once
+    except Overflow:
+        # r_d passes int64 somewhere up to n_max: count per n, so that only
+        # an n in range whose count overflows raises
+        count_of = partial(representation_count, d)
+    sizes = {n: count_of(n) for n in ns}
     candidates = [n for n, size in sizes.items() if size > 0]
 
     if policy == "all":

@@ -10,13 +10,14 @@ connected-components pass.  Zero-set components also need their lifts to
 Z^d, for winding and diameters.  `_components` works on the runs of mixed
 cells along the last axis that share mixed faces (a d=2 saddle cell's two
 segments end one run and start the next), labels in-grid patches of runs
-with one connected-components pass, then merges them across the seams in
-`_merge_patches`, an offset-tracking union-find (Newman & Ziff, 2001)
-that gives each patch its component and lift and detects components that
-wind around the torus (inconsistent lift).  A run spans one row from its
-first cell to its last, so the lifted component boxes behind the
-diameters reduce over runs.  A trial's counts build no label grid; only
-the public counts map their components back onto the grid.
+with the same connected-components pass (`_label`, the one csgraph call),
+then merges them across the seams in `_merge_patches` by min-label
+propagation, one array step per hop, which gives each patch its
+component and lift and detects components that wind around the torus
+(inconsistent lift).  A run spans one row from its first cell to its
+last, so the lifted component boxes behind the diameters reduce over
+runs.  A trial's counts build no label grid; only the public counts map
+their components back onto the grid.
 
 `analyze` runs a trial's coarse count and margins on a second thread
 while the calling thread runs its fine count, when the finest grid has
@@ -36,7 +37,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from operator import add, sub
 
 import numpy as np
 from scipy import special
@@ -128,89 +128,64 @@ def sign_grid(grid: FieldGrid) -> SignGrid:
     )
 
 
-class _OffsetUnionFind:
-    """Union-find over patches carrying integer lift offsets to the root.
-
-    `lift(x) = lift(parent(x)) + offset[x]`, with offsets as int tuples.
-    A union closing a cycle with a mismatched offset marks its patch as
-    wrapping: the component winds around the torus.
-    """
-
-    def __init__(self, count: int, d: int):
-        self.parent = list(range(count))
-        self.offset = [(0,) * d] * count
-        self.wrapped: set[int] = set()
-
-    def find(self, x: int) -> tuple[int, tuple[int, ...]]:
-        """Root of x and lift(x) - lift(root), compressing the path."""
-        path = []
-        while self.parent[x] != x:
-            path.append(x)
-            x = self.parent[x]
-        total = self.offset[x]  # a root's offset stays zero
-        for node in reversed(path):
-            total = tuple(map(add, total, self.offset[node]))
-            self.offset[node] = total
-            self.parent[node] = x
-        return x, total
-
-    def union(self, x: int, y: int, rel) -> None:
-        """Declare lift(y) = lift(x) + rel."""
-        rx, ox = self.find(x)
-        ry, oy = self.find(y)
-        want = tuple(map(add, ox, rel))
-        if rx == ry:
-            if oy != want:
-                self.wrapped.add(rx)
-            return
-        self.parent[ry] = rx
-        self.offset[ry] = tuple(map(sub, want, oy))
+def _label(near, far, count: int):
+    """Connected components of the graph on `count` nodes with the edges
+    near[i]-far[i], in one sparse pass: (number, component of each node),
+    the components 0-based in order of their smallest node."""
+    graph = coo_matrix((np.ones(len(near)), (near, far)), shape=(count, count))
+    number, group = _sparse_components(graph, directed=False)
+    # csgraph does not document its label order
+    first = np.full(number, count)
+    np.minimum.at(first, group, np.arange(count))
+    return number, np.argsort(np.argsort(first))[group]
 
 
-def _merge_patches(d: int, first, cells, links):
-    """Merge in-grid zero-set patches into periodic components (Newman &
-    Ziff, 2001), with the lifts `_components` needs for winding and
-    diameters.
+def _merge_patches(d: int, cells, links):
+    """Merge in-grid zero-set patches into periodic components, with the
+    lifts `_components` needs for winding and diameters.
 
     A patch is a set of runs of mixed cells joined inside the grid;
-    patches are numbered from 0 and the kernel never sees the grid.  Per
-    patch, `first` is its smallest run index (runs are numbered in raster
-    order) and `cells` its cell count, a d=2 saddle cell counting once per
-    segment.  `links` lists array triples (pa, pb, rel) declaring
-    lift(pb) = lift(pa) + rel across the periodic seams.
+    patches are numbered from 0 in order of their first run and the kernel
+    never sees the grid.  Per patch, `cells` is its cell count, a d=2
+    saddle cell counting once per segment.  `links` lists array triples
+    (pa, pb, rel) declaring lift(pb) = lift(pa) + rel across the periodic
+    seams.
+
+    Min-label propagation, one array step per hop over the links in both
+    directions: each patch takes the smallest patch it can reach, with the
+    lift along the hop that brought it, so it ends at its component's
+    first patch, whose lift stays 0.  A component winds around the torus
+    iff one of its links disagrees with the final lifts; otherwise every
+    path gives the same lifts.
 
     Returns (count, cells, wraps, comp, lift).  Components are 0-based and
-    ordered by their smallest `first` key; per component, `cells` counts
-    its cells (int64) and `wraps` marks those with no consistent lift.
-    Per patch, `comp` is its component and `lift` (npatch, d) its offset
-    in Z^d from the component's root patch.
+    ordered by their first patch; per component, `cells` counts its cells
+    (int64) and `wraps` marks those with no consistent lift.  Per patch,
+    `comp` is its component and `lift[:, patch]` its offset in Z^d from
+    the component's first patch; `lift` is (d, npatch).
     """
     npatch = len(cells)
-    rows = np.column_stack([np.concatenate(part) for part in zip(*links)])
-    rows = rows[np.lexsort(rows.T)]  # dedupe; np.unique(axis=0) is several times slower
-    keep = np.ones(len(rows), dtype=bool)
-    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    rows = rows[keep]
-    uf = _OffsetUnionFind(npatch, d)
-    for pa, pb, *rel in rows.tolist():
-        uf.union(pa, pb, rel)
-    linked = np.unique(rows[:, :2])
-    found = [uf.find(p) for p in linked.tolist()]
+    pa, pb, rel = (np.concatenate(part) for part in zip(*links))
+    src, dst = np.concatenate([pa, pb]), np.concatenate([pb, pa])
+    rel = np.concatenate([rel, -rel]).T
     root = np.arange(npatch)
-    root[linked] = [r for r, _ in found]
-    offset = np.zeros((npatch, d), dtype=np.int64)
-    offset[linked] = np.array([o for _, o in found], dtype=np.int64).reshape(-1, d)
-
-    roots, comp = np.unique(root, return_inverse=True)
-    count = len(roots)
-    key = np.full(count, np.iinfo(np.int64).max)
-    np.minimum.at(key, comp, first)
-    comp = np.argsort(np.argsort(key))[comp]
-
-    wraps = np.zeros(count, dtype=bool)
-    wraps[comp[list(uf.wrapped)]] = True
+    lift = np.zeros((d, npatch), dtype=np.int64)
+    while True:
+        label = root[src]
+        best = root.copy()
+        np.minimum.at(best, dst, label)
+        hop = (label == best[dst]) & (label < root[dst])
+        if not hop.any():
+            break
+        lift[:, dst[hop]] = lift[:, src[hop]] + rel[:, hop]
+        root = best
+    wraps = np.zeros(npatch, dtype=bool)
+    wraps[root[dst[(lift[:, dst] != lift[:, src] + rel).any(axis=0)]]] = True
+    first = root == np.arange(npatch)
+    comp = (np.cumsum(first) - 1)[root]
+    count = int(np.count_nonzero(first))
     cells = np.bincount(comp, weights=cells, minlength=count).astype(np.int64)
-    return count, cells, wraps, comp, offset
+    return count, cells, wraps[first], comp, lift
 
 
 def _domains(sg: SignGrid):
@@ -226,8 +201,8 @@ def _domains(sg: SignGrid):
     run also meets its first across the last axis's seam, and in d=2 each
     saddle cell links the runs at the ends of its matching diagonal.
     Domains need no lifts, so all these pairs go into one
-    connected-components pass, and the components are numbered by their
-    first run.
+    connected-components pass (`_label`), and the components are numbered
+    by their first run.
 
     Returns (r, volumes, comp, lengths): the 0-based component and the
     length of each run, in raster order.
@@ -268,13 +243,7 @@ def _domains(sg: SignGrid):
         for cells, corners in zip(sg.saddle_cells, (((0, 0), (1, 1)), ((1, 0), (0, 1)))):
             i, j = divmod(cells, M)
             pairs.append(tuple(run_at((i + di) % M * M + (j + dj) % M) for di, dj in corners))
-    near, far = (np.concatenate(side) for side in zip(*pairs))
-    graph = coo_matrix((np.ones(len(near)), (near, far)), shape=(nrun, nrun))
-    r, group = _sparse_components(graph, directed=False)
-    # csgraph does not document its label order: rank components by first run
-    first = np.full(r, nrun)
-    np.minimum.at(first, group, runs)
-    comp = np.argsort(np.argsort(first))[group]
+    r, comp = _label(*(np.concatenate(side) for side in zip(*pairs)), nrun)
     return r, np.bincount(comp, weights=lengths) / float(M**d), comp, lengths
 
 
@@ -316,11 +285,11 @@ def _components(sg: SignGrid):
     its second starts the next.  An int32 run-id grid, written only at
     mixed cells, maps each crossed leading-axis face, found from its base
     vertex, to the runs on either side (a saddle's second segment is
-    run-id + 1).  One connected-components pass labels the runs into
-    in-grid patches; the row M-1 -> row 0 faces and the column M-1 ->
-    column 0 faces go to `_merge_patches` as seam links.  A run spans one
-    row from its first cell to its last, so the component boxes reduce
-    over runs, not cells.
+    run-id + 1).  One connected-components pass (`_label`) labels the
+    runs into in-grid patches, numbered by their first run; the row M-1 ->
+    row 0 faces and the column M-1 -> column 0 faces go to
+    `_merge_patches` as seam links.  A run spans one row from its first
+    cell to its last, so the component boxes reduce over runs, not cells.
 
     Returns (k, cells, diameters, wraps, comp, starts, lengths): per run,
     in raster order, its 0-based component, first cell (flat index) and
@@ -376,25 +345,21 @@ def _components(sg: SignGrid):
     if d == 2:
         a += main[wrap + (M - 1)] | anti[wrap + (M - 1)]
     seams.append((a, run_of[wrap], d - 1))
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(nrun, nrun))
-    npatch, patch = _sparse_components(graph, directed=False)
-    first = np.full(npatch, nrun)
-    np.minimum.at(first, patch, np.arange(nrun))
+    npatch, patch = _label(np.concatenate(rows), np.concatenate(cols), nrun)
     cells = np.bincount(patch, weights=lengths, minlength=npatch)
     step = M * np.eye(d, dtype=np.int64)
     links = [
         (patch[a], patch[b], np.broadcast_to(step[axis], (len(a), d))) for a, b, axis in seams
     ]
 
-    k, comp_cells, wraps, comp, lift = _merge_patches(d, first, cells, links)
-    comp, lift = comp[patch], np.take(lift, patch, axis=0)
+    k, comp_cells, wraps, comp, lift = _merge_patches(d, cells, links)
+    comp, lift = comp[patch], np.take(lift, patch, axis=1)
     # lifted box [lo, hi] of each component, one 1-D reduction per axis;
     # a run's last-axis extent is its first cell to its last
     lo = np.full((d, k), np.iinfo(np.int64).max)
     hi = np.full((d, k), np.iinfo(np.int64).min)
     for axis, coord in enumerate(np.unravel_index(starts, signs.shape)):
-        lifted = coord + lift[:, axis]
+        lifted = coord + lift[axis]
         np.minimum.at(lo[axis], comp, lifted)
         np.maximum.at(hi[axis], comp, lifted + (lengths - 1 if axis == d - 1 else 0))
     h = 1.0 / M

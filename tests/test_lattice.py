@@ -178,6 +178,60 @@ def test_admissible_sequence_diagnostic_threshold():
         assert report.max_dev4 <= 0.2
 
 
+@pytest.mark.parametrize("d, n_min, n_max", [(1, 1, 80), (2, 1, 300), (2, 17, 129), (3, 1, 200),
+                                          (4, 5, 100), (6, 1, 60)])
+def test_admissible_sequence_matches_per_n_counts(d, n_min, n_max):
+    # every policy's list, from the one r_d table, against a filter of the
+    # per-n representation counts
+    sizes = {n: lattice.representation_count(d, n) for n in range(n_min, n_max + 1)}
+    kept = [n for n, size in sizes.items() if size > 0]
+    windows = {}
+    for n in kept:
+        windows.setdefault(n.bit_length(), []).append(n)
+    expected = {
+        "all": kept,
+        "congruence_d3": [n for n in kept if n % 8 not in (0, 4, 7)],
+        "bounded_two_adic": [n for n in kept if n % 4 != 0],  # v_max = 1
+        "top_by_dim": [min(w, key=lambda n: (-sizes[n], n)) for w in windows.values()],
+    }
+    for policy, seq in expected.items():
+        assert lattice.admissible_sequence(d, n_min, n_max, policy) == seq, policy
+    reports = {
+        n: lattice.equidistribution_report(lattice.enumerate_shell(d, n)).max_dev4
+        for n in kept if n <= 40
+    }
+    assert lattice.admissible_sequence(d, n_min, min(n_max, 40), "diagnostic_threshold") == [
+        n for n, dev in reports.items() if dev <= 0.05
+    ]
+
+
+def test_admissible_sequence_overflows_only_in_range(monkeypatch):
+    from arw.errors import Overflow
+
+    # r_14 first passes INT64_MAX at m = 1139 and is back below it at 1140
+    # and 1141, so only a range holding 1139 overflows
+    monkeypatch.setattr(lattice, "_REP_TABLE_CACHE", {})
+    assert lattice.admissible_sequence(14, 1140, 1141, "all") == [1140, 1141]
+    with pytest.raises(Overflow):
+        lattice.admissible_sequence(14, 1139, 1141, "all")
+    monkeypatch.setattr(lattice, "_REP_TABLE_CACHE", {})
+    assert lattice.admissible_sequence(17, 1, 329, "all") == list(range(1, 330))
+    with pytest.raises(Overflow):
+        lattice.admissible_sequence(17, 300, 330, "all")
+
+
+def test_rep_table_builds_deep_levels_without_recursion(monkeypatch):
+    # r_d(5) = 4 d (d - 1) + 32 C(d, 5): 5 = 1 + 4 (two nonzero coordinates,
+    # one of them +-2) or 1 + 1 + 1 + 1 + 1 (five +-1); 3000 levels would
+    # pass the interpreter's recursion limit if each called the one below
+    monkeypatch.setattr(lattice, "_REP_TABLE_CACHE", {})
+    expected = 4 * 3000 * 2999 + 32 * math.comb(3000, 5)
+    assert expected == 64_584_251_916_007_200
+    assert lattice.representation_count(3000, 5) == expected
+    assert lattice.admissible_sequence(3000, 1, 3, "all") == [1, 2, 3]
+    assert sorted(lattice._REP_TABLE_CACHE) == list(range(1, 3001))
+
+
 def test_admissible_sequence_unknown_policy():
     with pytest.raises(UnknownPolicy):
         lattice.admissible_sequence(2, 1, 10, "bogus")

@@ -524,28 +524,71 @@ def test_mixed_one_axis_is_the_all_sign_reduction():
             assert np.array_equal(nodal._mixed(signs, [axis]), expected), (shape, axis)
 
 
-def test_offset_union_find_wraps_and_lifts():
+def merge_patches(cells, links):
+    """`nodal._merge_patches` in d=2 on (pa, pb, rel) tuples, one link each."""
+    pa, pb, rel = (np.array(part) for part in zip(*links))
+    return nodal._merge_patches(2, np.asarray(cells, dtype=float), [(pa, pb, rel)])
+
+
+def test_merge_patches_wraps_and_lifts():
     M = 8
     # ring 0 -> 1 -> 2 -> 0 with zero net offset: consistent, no wrap
-    uf = nodal._OffsetUnionFind(3, 2)
-    for a, b, rel in ((0, 1, (3, 0)), (1, 2, (5, -1)), (2, 0, (-8, 1))):
-        uf.union(a, b, rel)
-    assert not uf.wrapped
+    count, cells, wraps, comp, lift = merge_patches(
+        [1, 2, 3], [(0, 1, (3, 0)), (1, 2, (5, -1)), (2, 0, (-8, 1))]
+    )
+    assert count == 1 and cells.tolist() == [6] and wraps.tolist() == [False]
+    assert comp.tolist() == [0, 0, 0]
     # the same ring closing with net offset M e_0 winds around the torus
-    uf = nodal._OffsetUnionFind(3, 2)
-    for a, b, rel in ((0, 1, (3, 0)), (1, 2, (5, -1)), (2, 0, (0, 1))):
-        uf.union(a, b, rel)
-    assert uf.wrapped == {uf.find(0)[0]}
-    # a chain built out of order: lift differences equal the declared rels
+    count, _, wraps, _, _ = merge_patches(
+        [1, 2, 3], [(0, 1, (3, 0)), (1, 2, (5, -1)), (2, 0, (0, 1))]
+    )
+    assert count == 1 and wraps.tolist() == [True]
+    # a chain given out of order: lift differences equal the declared rels,
+    # measured from the first patch
     links = [(3, 4, (0, M)), (0, 1, (1, 2)), (2, 3, (-M, 0)), (1, 2, (4, -3))]
-    uf = nodal._OffsetUnionFind(5, 2)
+    count, _, wraps, comp, lift = merge_patches([1] * 5, links)
+    assert count == 1 and wraps.tolist() == [False] and comp.tolist() == [0] * 5
+    assert lift.shape == (2, 5) and lift[:, 0].tolist() == [0, 0]
     for a, b, rel in links:
-        uf.union(a, b, rel)
-    assert not uf.wrapped
-    found = [uf.find(p) for p in range(5)]
-    assert len({root for root, _ in found}) == 1
-    for a, b, rel in links:
-        assert tuple(np.subtract(found[b][1], found[a][1])) == rel
+        assert tuple(lift[:, b] - lift[:, a]) == rel
+
+
+def test_merge_patches_numbers_components_by_first_patch():
+    M = 8
+    # components {0, 3}, {1, 5} (a repeated link, and a ring through 5 and 1
+    # whose two lifts disagree by M e_0), {2} and {4}
+    links = [(3, 0, (0, M)), (3, 0, (0, M)), (5, 1, (M, 0)), (1, 5, (0, 0))]
+    count, cells, wraps, comp, lift = merge_patches([1, 2, 3, 4, 5, 6], links)
+    assert count == 4
+    assert comp.tolist() == [0, 1, 2, 0, 3, 1]
+    assert cells.dtype == np.int64 and cells.tolist() == [5, 8, 3, 5]
+    assert wraps.tolist() == [False, True, False, False]
+    assert lift[:, 3].tolist() == [0, -M] and lift[:, [0, 2, 4]].tolist() == [[0] * 3] * 2
+
+
+def test_counts_do_not_depend_on_csgraph_label_order(monkeypatch):
+    # csgraph does not document the order of its component labels: permute
+    # them at every call and both counts must return the same values
+    rng = np.random.default_rng(31)
+    grids = []
+    for d, M in ((1, 23), (2, 17), (2, 9), (3, 7), (4, 4)):
+        for _ in range(3):
+            values = rng.integers(-1, 2, size=(M,) * d).astype(float)  # exact zeros count as +
+            values += rng.random(values.shape) * (rng.random(values.shape) < 0.3)
+            grids.append(nodal.sign_grid(field.FieldGrid(d=d, n=1, M=M, values=values)))
+    expected = [(nodal.count_domains(sg), nodal.count_components(sg)) for sg in grids]
+    sparse_components = nodal._sparse_components
+
+    def permuted(graph, directed):
+        number, labels = sparse_components(graph, directed=directed)
+        return number, rng.permutation(number)[labels]
+
+    monkeypatch.setattr(nodal, "_sparse_components", permuted)
+    for sg, counts in zip(grids, expected):
+        for before, after in zip(counts, (nodal.count_domains(sg), nodal.count_components(sg))):
+            for want, got in zip(before, after):
+                assert np.asarray(got).dtype == np.asarray(want).dtype
+                assert np.array_equal(got, want)
 
 
 def test_stability_margins_cosine():
