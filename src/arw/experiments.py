@@ -192,6 +192,10 @@ def run_trials(
     args = (repeat(d), repeat(n), repeat(m_policy), repeat(master_seed), range(trials))
     if parallelism <= 1:
         return list(map(run_trial, *args))
+    # the counts import csgraph on first use; loaded here, every forked
+    # worker inherits it instead of importing it again in each pool
+    import scipy.sparse.csgraph  # noqa: F401
+
     with ProcessPoolExecutor(max_workers=parallelism, initializer=_share_budget,
                              initargs=(parallelism,)) as pool:
         return list(pool.map(run_trial, *args, chunksize=max(1, trials // (4 * parallelism))))

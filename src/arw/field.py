@@ -34,8 +34,9 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sfft
-from scipy import special
+# NumPy >= 2.0 runs the same C++ pocketfft as scipy.fft, bit for bit, and
+# keeps SciPy out of `import arw`
+from numpy import fft as sfft
 
 from . import rng
 from .errors import (
@@ -405,6 +406,8 @@ def limiting_kernel(d: int, x) -> float:
     r = float(np.linalg.norm(np.asarray(x, dtype=float)))
     if 2.0 * np.pi * r < 1e-8:
         return 1.0
+    from scipy import special
+
     nu = d / 2.0 - 1.0
     return float(special.gamma(d / 2.0) * (np.pi * r) ** -nu * special.jv(nu, 2.0 * np.pi * r))
 

@@ -39,10 +39,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import special
-from scipy.optimize import brentq
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components as _sparse_components
 
 from . import field as field_module
 from . import rng
@@ -128,10 +124,20 @@ def sign_grid(grid: FieldGrid) -> SignGrid:
     )
 
 
+def _sparse_components(graph, directed):
+    """`scipy.sparse.csgraph.connected_components`, imported on the first
+    count so that `import arw` loads no SciPy."""
+    from scipy.sparse.csgraph import connected_components
+
+    return connected_components(graph, directed=directed)
+
+
 def _label(near, far, count: int):
     """Connected components of the graph on `count` nodes with the edges
     near[i]-far[i], in one sparse pass: (number, component of each node),
     the components 0-based in order of their smallest node."""
+    from scipy.sparse import coo_matrix
+
     graph = coo_matrix((np.ones(len(near)), (near, far)), shape=(count, count))
     number, group = _sparse_components(graph, directed=False)
     # csgraph does not document its label order
@@ -626,6 +632,9 @@ def analyze(sample: WaveSample, M: int, auto_refine: bool = False) -> NodalSumma
 def bessel_first_zero(nu: float) -> float:
     """First positive zero of the Bessel function J_nu, by bracketed
     root-finding (J_nu is positive on (0, j_{nu,1}))."""
+    from scipy import special
+    from scipy.optimize import brentq
+
     x = max(nu, 0.0) + 0.5
     step = 0.5
     while special.jv(nu, x) > 0:
