@@ -3,8 +3,11 @@
 A trigonometric polynomial in d variables becomes an ordinary polynomial
 in 2d variables (c_1, s_1, ..., c_d, s_d) via c_j = cos(2 pi x_j),
 s_j = sin(2 pi x_j), together with the circle relations c_j^2 + s_j^2 = 1.
-All coefficient arithmetic here is exact rational; floating point appears
-only at evaluation boundaries.
+All coefficient arithmetic here is exact.  Integer coefficients stay Python
+ints, so a `Fraction` appears only where a caller passes one; since
+`Fraction(3) == 3`, their hashes agree and both print as `3`, a polynomial
+compares, hashes and prints the same either way.  Floating point appears
+only where a caller passes floats, and at evaluation boundaries.
 
 The cosine/sine pair of a single frequency D in one variable algebraizes
 to the classical degree-D homogeneous pair (C_D, S_D) with
@@ -24,7 +27,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import DegreeTooSmall, ExpansionBudgetExceeded, IdentityFailure, ValidationError
 
@@ -60,7 +63,7 @@ class AlgPoly:
     def variable(nvars: int, index: int) -> "AlgPoly":
         exp = [0] * nvars
         exp[index] = 1
-        return AlgPoly(nvars, {tuple(exp): Fraction(1)})
+        return AlgPoly(nvars, {tuple(exp): 1})
 
     # -- structure ----------------------------------------------------
     def is_zero(self) -> bool:
@@ -135,7 +138,7 @@ class AlgPoly:
     def __pow__(self, power: int) -> "AlgPoly":
         if power < 0:
             raise ValueError("negative power")
-        result = AlgPoly.constant(self.nvars, Fraction(1))
+        result = AlgPoly.constant(self.nvars, 1)
         for _ in range(power):
             result = result * self
         return result
@@ -181,18 +184,26 @@ class AlgPoly:
         return total
 
 
+def _chebyshev_pairs(D_max: int) -> Iterator[tuple[AlgPoly, AlgPoly]]:
+    """(C_D, S_D) for D = 0, 1, ..., D_max, by the angle-addition recurrence
+    C_(D+1) + i S_(D+1) = (c + i s) (C_D + i S_D)."""
+    c = AlgPoly.variable(2, 0)
+    s = AlgPoly.variable(2, 1)
+    C, S = AlgPoly.constant(2, 1), AlgPoly(2)
+    yield C, S
+    for _ in range(D_max):
+        C, S = c * C - s * S, s * C + c * S
+        yield C, S
+
+
 def chebyshev_pair(D: int) -> tuple[AlgPoly, AlgPoly]:
     """(C_D, S_D): algebraizations of cos(2 pi D x) and sin(2 pi D x) in the
     two variables (c, s), by the angle-addition recurrence."""
     if D < 0:
         raise ValidationError("D must be >= 0")
-    c = AlgPoly.variable(2, 0)
-    s = AlgPoly.variable(2, 1)
-    C = AlgPoly.constant(2, Fraction(1))
-    S = AlgPoly(2)
-    for _ in range(D):
-        C, S = c * C - s * S, s * C + c * S
-    return C, S
+    for pair in _chebyshev_pairs(D):  # keeps only the last pair alive
+        pass
+    return pair
 
 
 @dataclass(frozen=True)
@@ -279,7 +290,7 @@ def algebraize(T: TrigPoly) -> AlgPoly:
     n = 2 * T.d
     out = AlgPoly(n)
     for lam, (cc, sc) in T.terms.items():
-        re = AlgPoly.constant(n, Fraction(1))
+        re = AlgPoly.constant(n, 1)
         im = AlgPoly(n)
         for axis, m in enumerate(lam):
             if m == 0:
@@ -299,7 +310,7 @@ def circle_relations(d: int) -> list[AlgPoly]:
     for j in range(d):
         c = AlgPoly.variable(2 * d, 2 * j)
         s = AlgPoly.variable(2 * d, 2 * j + 1)
-        out.append(c * c + s * s - AlgPoly.constant(2 * d, Fraction(1)))
+        out.append(c * c + s * s - AlgPoly.constant(2 * d, 1))
     return out
 
 
@@ -385,7 +396,7 @@ def example_trig_poly(d: int, D: int, A: Coeff) -> TrigPoly:
     for j in range(d):
         lam = [0] * d
         lam[j] = D
-        raw[tuple(lam)] = (0, Fraction(1))
+        raw[tuple(lam)] = (0, 1)
     return TrigPoly.build(d, raw)
 
 
@@ -406,7 +417,7 @@ def _binomial_pair(D: int) -> tuple[AlgPoly, AlgPoly]:
     re_terms: dict[tuple[int, int], Coeff] = {}
     im_terms: dict[tuple[int, int], Coeff] = {}
     for k in range(D + 1):
-        coef = Fraction(math.comb(D, k))
+        coef = math.comb(D, k)
         if k % 4 == 1:
             im_terms[(D - k, k)] = coef
         elif k % 4 == 2:
@@ -447,14 +458,17 @@ def verify_csd_identities(D_max: int) -> CsdReport:
     c = AlgPoly.variable(2, 0)
     s = AlgPoly.variable(2, 1)
     circle = c * c + s * s
+    circle_power = AlgPoly.constant(2, 1)  # (c^2 + s^2)^D, one factor per step
     pyth: dict[int, bool] = {}
     det: dict[int, bool] = {}
     fact: dict[int, bool] = {}
-    for D in range(1, D_max + 1):
-        C, S = chebyshev_pair(D)
-        pyth[D] = (C * C + S * S) == circle**D
+    pairs = _chebyshev_pairs(D_max)
+    next(pairs)  # D = 0
+    for D, (C, S) in enumerate(pairs, start=1):
+        circle_power = circle_power * circle
+        pyth[D] = (C * C + S * S) == circle_power
         jac = determinant([[C.diff(0), C.diff(1)], [c, s]])
-        det[D] = jac == S.scale(Fraction(D))
+        det[D] = jac == S.scale(D)
         bre, bim = _binomial_pair(D)
         fact[D] = C == bre and S == bim
         if not (pyth[D] and det[D] and fact[D]):

@@ -300,7 +300,11 @@ def equidistribution_report(shell: LatticeShell) -> EquidistributionReport:
 
     The empirical moments (1/N) sum (lambda/sqrt(n))^alpha are exact: with
     the squared coordinates as Python ints, the degree-2 sums are their
-    column sums and the degree-4 sums their Gram matrix.  The sphere's are
+    column sums.  The shell is invariant under signed permutations of the
+    axes, so every degree-4 diagonal sum equals S4 = sum(lambda_1^4), taken
+    from the first column, and every off-diagonal sum sum(lambda_i^2
+    lambda_j^2) equals (N n^2 - d S4) / (d (d - 1)), since all d^2 of them
+    add up to sum(|lambda|^4) = N n^2.  The sphere's moments are
     E[z_i^2] = 1/d, E[z_i^4] = 3/(d(d+2)) and E[z_i^2 z_j^2] = 1/(d(d+2)).
     """
     shell.require_nonempty()
@@ -308,20 +312,24 @@ def equidistribution_report(shell: LatticeShell) -> EquidistributionReport:
     if n == 0:
         raise ValidationError("the n=0 shell is the origin alone; it has no directions")
     sq = shell.points.astype(object) ** 2
-    deg2, deg4 = sq.sum(axis=0), sq.T @ sq
+    deg2 = sq.sum(axis=0)
+    S4 = int((sq[:, 0] ** 2).sum())
 
     def alpha(*axes: int) -> tuple[int, ...]:
-        return tuple(2 * axes.count(a) for a in range(d))
+        key = [0] * d
+        for a in axes:
+            key[a] += 2
+        return tuple(key)
 
     ball = Fraction(1, d * (d + 2))
-    moments = [(alpha(i), Fraction(deg2[i], n * N), Fraction(1, d)) for i in range(d)]
-    moments += [(alpha(i, i), Fraction(deg4[i, i], n * n * N), 3 * ball) for i in range(d)]
-    moments += [
-        (alpha(i, j), Fraction(deg4[i, j], n * n * N), ball)
-        for i in range(d)
-        for j in range(i + 1, d)
-    ]
-    deviations = {key: float(abs(emp - exact)) for key, emp, exact in moments}
+    diag = float(abs(Fraction(S4, n * n * N) - 3 * ball))
+    deviations = {alpha(i): float(abs(Fraction(deg2[i], n * N) - Fraction(1, d))) for i in range(d)}
+    deviations.update((alpha(i, i), diag) for i in range(d))
+    max_dev4 = diag
+    if d > 1:
+        off = float(abs(Fraction(N * n * n - d * S4, d * (d - 1) * n * n * N) - ball))
+        deviations.update((alpha(i, j), off) for i in range(d) for j in range(i + 1, d))
+        max_dev4 = max(diag, off)
     angular = None
     if d == 2:
         pts = shell.points.astype(float)
@@ -331,7 +339,7 @@ def equidistribution_report(shell: LatticeShell) -> EquidistributionReport:
         d=d,
         n=n,
         moment_deviations=deviations,
-        max_dev4=max(dev for key, dev in deviations.items() if sum(key) == 4),
+        max_dev4=max_dev4,
         angular_star_discrepancy=angular,
     )
 
@@ -390,21 +398,29 @@ def admissible_sequence(
     ]
 
 
+_SLAB_POINTS = 2**16  # inner-block cells that ball_moment_sweep buckets at once
+
+
 def ball_moment_sweep(d: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Counts and second-moment matrices of every shell up to n_max at once.
 
     Writes each point of the ball as (x1, y) with y in the inner block
     [-K, K]^(d-1), K = isqrt(n_max), so |(x1, y)|^2 = x1^2 + |y|^2.  The
-    inner block's points of norm <= n_max are bucketed once by norm into
-    three tables: their count, sum(y_i) and sum(y_i * y_j).  Each x1 then
-    adds those tables shifted by c = x1^2 and cut off at n_max: the count
-    to counts, c * count to the (0, 0) entry, x1 * sum(y_i) to the (0, i)
-    and (i, 0) entries, and sum(y_i * y_j) to the inner entries.
+    inner block's points of norm <= n_max are bucketed by norm into three
+    tables: their count, sum(y_i) and sum(y_i * y_j).  The block is bucketed
+    in slabs of whole rows along y_1, of about _SLAB_POINTS cells each, so
+    no array spans the whole block.  Each x1 then adds those tables shifted
+    by c = x1^2 and cut off at n_max: the count to counts, c * count to the
+    (0, 0) entry, x1 * sum(y_i) to the (0, i) and (i, 0) entries, and
+    sum(y_i * y_j) to the inner entries.  At d=2 the inner block is the axis
+    itself, which reaches only the K + 1 squares, so each x1 adds at the
+    bins c + a^2 alone and no row is shifted.
 
     Returns (counts, sums): counts[n] = #shell(n), sums[n] = the d x d
     matrix of sum(lambda_i * lambda_j) over shell(n), both int64.  Exact:
-    every partial sum is an integer below 2^53, so float64 accumulation
-    is integer-exact and the order of summation cannot change a result.
+    every partial sum is an integer below 2^53, so the float64 bucketing is
+    integer-exact, the tables and the shifted adds are int64, and the order
+    of summation cannot change a result.
 
     This is how per-shell orthogonality can be audited over ranges where
     enumerating each shell separately would be quadratically wasteful.
@@ -418,28 +434,56 @@ def ball_moment_sweep(d: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     nbins = n_max + 1
 
     axis = np.arange(-K, K + 1, dtype=np.int32)
-    grids = np.meshgrid(*([axis] * (d - 1)), indexing="ij", sparse=True)
-    norms = sum(g * g for g in grids)
-    keep = norms <= n_max
-    inner = [np.broadcast_to(g, norms.shape)[keep] for g in grids]
-    idx = norms[keep]
-    count = np.bincount(idx, minlength=nbins).astype(np.float64)
-    first = np.stack([np.bincount(idx, weights=y, minlength=nbins) for y in inner])
-    second = np.empty((d - 1, d - 1, nbins))
-    for i, yi in enumerate(inner):
-        for j in range(i, d - 1):
-            yy = np.multiply(yi, inner[j], dtype=np.float64)
-            second[i, j] = second[j, i] = np.bincount(idx, weights=yy, minlength=nbins)
+    count = np.zeros(nbins, dtype=np.int64)
+    first = np.zeros((d - 1, nbins))
+    second = np.zeros((d - 1, d - 1, nbins))
+    rows = max(1, _SLAB_POINTS // len(axis) ** (d - 2))
+    for lo in range(0, len(axis), rows):
+        grids = np.meshgrid(axis[lo : lo + rows], *([axis] * (d - 2)), indexing="ij", sparse=True)
+        norms = sum(g * g for g in grids)
+        keep = norms <= n_max
+        inner = [np.broadcast_to(g, norms.shape)[keep] for g in grids]
+        idx = norms[keep]  # never empty: y = (y_1, 0, ..., 0) is in every row
+        top = int(idx.max()) + 1
+        count[:top] += np.bincount(idx)
+        for i, yi in enumerate(inner):
+            first[i, :top] += np.bincount(idx, weights=yi)
+            for j in range(i, d - 1):
+                yy = np.multiply(yi, inner[j], dtype=np.float64)
+                second[i, j, :top] += np.bincount(idx, weights=yy)
+    first = first.astype(np.int64)
+    for i in range(d - 1):
+        second[i + 1 :, i] = second[i, i + 1 :]
+    second = second.astype(np.int64)
+
+    if d == 2:
+        # one row of (count, sum(y), sum(y), sum(y^2)) per bin the inner
+        # block reaches, weighted by (c, x1, x1, 1) into the flattened 2 x 2
+        # sums; c + a^2 is distinct for distinct a, so each x1's fancy-index
+        # adds touch a bin at most once
+        at = np.flatnonzero(count)
+        table = np.stack([count[at], first[0, at], first[0, at], second[0, 0, at]], 1)
+        del count, first, second  # free the dense tables before the outputs
+        counts = np.zeros(nbins, dtype=np.int64)
+        sums = np.zeros((nbins, 4), dtype=np.int64)
+        for x1 in range(-K, K + 1):
+            c = x1 * x1
+            m = int(np.searchsorted(at, nbins - c))
+            bins = c + at[:m]
+            counts[bins] += table[:m, 0]
+            sums[bins] += table[:m] * (c, x1, x1, 1)
+        return counts, sums.reshape(nbins, 2, 2)
 
     # norm on the last axis, so each shifted add runs over contiguous rows
-    counts = np.zeros(nbins)
-    sums = np.zeros((d, d, nbins))
+    counts = np.zeros(nbins, dtype=np.int64)
+    sums = np.zeros((d, d, nbins), dtype=np.int64)
     for x1 in range(-K, K + 1):
         c = x1 * x1
         m = nbins - c
         counts[c:] += count[:m]
         sums[0, 0, c:] += c * count[:m]
-        sums[0, 1:, c:] += x1 * first[:, :m]
-        sums[1:, 0, c:] += x1 * first[:, :m]
+        cross = x1 * first[:, :m]
+        sums[0, 1:, c:] += cross
+        sums[1:, 0, c:] += cross
         sums[1:, 1:, c:] += second[:, :, :m]
-    return counts.astype(np.int64), sums.transpose(2, 0, 1).astype(np.int64, order="C")
+    return counts, np.ascontiguousarray(sums.transpose(2, 0, 1))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arw import field, lattice
+from arw import algebra, field, lattice
 from arw.algebra import (
     AlgPoly,
     TrigPoly,
@@ -254,3 +255,48 @@ def test_trigpoly_degree():
     T = TrigPoly.build(2, {(2, 1): (Fraction(1), Fraction(0)), (1, 0): (Fraction(0), Fraction(1))})
     assert T.degree() == 3
     assert TrigPoly.constant(2, Fraction(4)).degree() == 0
+
+
+def _coefficients(*polys):
+    return [coef for P in polys for coef in P.terms.values()]
+
+
+def test_integer_coefficients_stay_ints():
+    jac, _ = gradient_system_jacobian(example_trig_poly(3, 4, 4))
+    for coef in _coefficients(*chebyshev_pair(32), *circle_relations(3), jac):
+        assert type(coef) is int
+    # a Fraction given by the caller is kept, and stays non-integral
+    third = Fraction(1, 3)
+    T = TrigPoly.build(2, {(1, 0): (third, 0), (1, 1): (0, third), (0, 0): (third, 0)})
+    for P in (algebraize(T), gradient_system_jacobian(T)[0]):
+        coefs = _coefficients(P)
+        assert all(isinstance(coef, (int, Fraction)) for coef in coefs)
+        assert any(isinstance(coef, Fraction) and coef.denominator > 1 for coef in coefs)
+
+
+def test_chebyshev_pair_is_the_pair_the_suite_checks(monkeypatch):
+    seen = []
+    recurrence = algebra._chebyshev_pairs
+
+    def spy(D_max):
+        for pair in recurrence(D_max):
+            seen.append(pair)
+            yield pair
+
+    monkeypatch.setattr(algebra, "_chebyshev_pairs", spy)
+    assert verify_csd_identities(32).passed
+    monkeypatch.undo()
+    assert len(seen) == 33
+    for D, pair in enumerate(seen):
+        assert chebyshev_pair(D) == pair
+
+
+def test_jacobian_examples_repr_digest():
+    # the sha256 of these reprs when every coefficient was a Fraction
+    lines = []
+    for d in (2, 3, 4):
+        for D in range(1, 9):
+            jac, power = gradient_system_jacobian(example_trig_poly(d, D, d + 1))
+            lines.append(f"{d},{D},{power}:{jac!r}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "24c34ef6ddb82c1e28408c51b067567b7c2b3a85aff163397aa0dfc974e302ea"

@@ -1,4 +1,6 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -267,6 +269,55 @@ def test_ball_moment_sweep_matches_per_shell(d, n_max):
         assert counts[n] == shell.dim_HL
         if not shell.is_empty:
             assert np.array_equal(sums[n], lattice.orthogonality_sums(shell))
+
+
+@pytest.mark.parametrize("d, n_max", [(2, 200), (3, 50), (4, 30), (5, 12)])
+def test_ball_moment_sweep_slabs(monkeypatch, d, n_max):
+    # two rows of the inner block per slab: the block has 2K + 1 rows, an
+    # odd number, so several slabs run and the last one holds one row
+    side = 2 * math.isqrt(n_max) + 1
+    monkeypatch.setattr(lattice, "_SLAB_POINTS", 2 * side ** (d - 2))
+    slabs = []
+    meshgrid = np.meshgrid
+
+    def spy(*axes, **kwargs):
+        slabs.append(len(axes[0]))  # rows in this slab
+        return meshgrid(*axes, **kwargs)
+
+    monkeypatch.setattr(np, "meshgrid", spy)
+    counts, sums = lattice.ball_moment_sweep(d, n_max)
+    monkeypatch.undo()
+    assert slabs == [2] * (side // 2) + [1]
+    for n in range(n_max + 1):
+        shell = lattice.enumerate_shell(d, n)
+        assert counts[n] == shell.dim_HL
+        if not shell.is_empty:
+            assert np.array_equal(sums[n], lattice.orthogonality_sums(shell))
+
+
+def test_ball_moment_sweep_d2_large():
+    n_max = 10**5
+    counts, sums = lattice.ball_moment_sweep(2, n_max)
+    assert np.array_equal(counts, lattice._rep_table(2, n_max))
+    n = np.arange(n_max + 1)
+    assert np.all(n * counts % 2 == 0)
+    assert np.array_equal(sums, (n * counts // 2)[:, None, None] * np.eye(2, dtype=np.int64))
+    assert sums.flags.c_contiguous and sums.shape == (n_max + 1, 2, 2)
+
+
+def test_equidistribution_reports_match_committed_values():
+    # reports computed before the degree-4 sums came from S4; keys, key
+    # order and values must be unchanged
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                        "equidistribution_reports.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    assert len(doc["shells"]) == 320
+    for d, n, values, max_dev4, angular in doc["shells"]:
+        report = lattice.equidistribution_report(lattice.enumerate_shell(d, n))
+        assert [list(key) for key in report.moment_deviations] == doc["keys"][str(d)], (d, n)
+        assert list(report.moment_deviations.values()) == values, (d, n)
+        assert report.max_dev4 == max_dev4 and report.angular_star_discrepancy == angular, (d, n)
 
 
 def test_rep_table_grows_geometrically(monkeypatch):
