@@ -21,7 +21,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from itertools import repeat
 from typing import Optional, Sequence
@@ -387,6 +387,16 @@ def run_experiment(config) -> None:
             os.environ["ARW_MEMORY_BUDGET_MB"] = saved
 
 
+def _str_keys(obj):
+    """`obj` with str(key) for every dict key at any depth, so `sort_keys`
+    orders float and int keys as the strings json writes."""
+    if isinstance(obj, dict):
+        return {str(key): _str_keys(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_str_keys(value) for value in obj]
+    return obj
+
+
 def _run_experiment(config) -> None:
     if config.policy == "explicit":
         ns = sorted(config.n_values)
@@ -432,26 +442,13 @@ def _run_experiment(config) -> None:
         except ArwError as exc:
             stats[key] = None
             report[note] = str(exc)
-    conc, nu = stats["concentration"], stats["nu"]
-    report["diameter_scaling_exponent"] = stats["diameter_scaling_exponent"]
-    report["concentration"] = None if conc is None else {
-        "epsilons": list(conc.epsilons),
-        "per_n": [
-            {**asdict(s), "tail_freqs": {repr(e): f for e, f in s.tail_freqs.items()}}
-            for s in conc.per_n
-        ],
-        "slopes": {repr(eps): slope for eps, slope in conc.slopes.items()},
-    }
-    report["nu"] = None if nu is None else {
-        **asdict(nu),
-        "per_n_mean": {str(n): mean for n, mean in nu.per_n_mean.items()},
-    }
+    report.update((key, asdict(v) if is_dataclass(v) else v) for key, v in stats.items())
     with open(config.report, "w") as fh:
-        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(_str_keys(report), indent=2, sort_keys=True) + "\n")
 
-    if config.plots_dir and conc is not None:
+    if config.plots_dir and stats["concentration"] is not None:
         os.makedirs(config.plots_dir, exist_ok=True)
-        _write_plot_series(config.plots_dir, conc)
+        _write_plot_series(config.plots_dir, stats["concentration"])
     if report["errors"]:
         raise MemoryBudgetExceeded(
             f"{report['errors']} of {len(records)} trials hit the memory guard; their CSV rows "

@@ -67,20 +67,18 @@ _OVERLAP_CELLS = 1 << 17
 class SignGrid:
     """Vertex signs of a value grid; exact zeros count as + and are tallied.
 
-    In d=2, `saddles` splits the checkerboard (saddle-straddling) cells,
-    once for both counts, by the sign of the cell-center value of the
-    multilinear interpolant (the corner mean): `main` cells have v00-v11
-    matching the center, `anti` cells v10-v01.  The matching diagonal
-    links two domain patches, and the cell's zero set becomes the two
-    segments that cut off the corners of the other diagonal.
-    `saddle_cells` holds the same two splits as sorted flat cell indices,
-    which the counting kernels read.  Both are None in other dimensions.
+    In d=2, `saddle_cells` splits the checkerboard (saddle-straddling)
+    cells, once for both counts, by the sign of the cell-center value of
+    the multilinear interpolant (the corner mean), as two arrays of sorted
+    flat cell indices: `main` cells have v00-v11 matching the center,
+    `anti` cells v10-v01.  The matching diagonal links two domain patches,
+    and the cell's zero set becomes the two segments that cut off the
+    corners of the other diagonal.  It is None in other dimensions.
     """
 
     d: int
     M: int
     signs: np.ndarray = field(repr=False)  # True where f >= 0
-    saddles: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
     saddle_cells: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
     zero_hits: int = 0
 
@@ -95,7 +93,7 @@ def sign_grid(grid: FieldGrid) -> SignGrid:
         raise ValueError("grid contains non-finite values")
     signs = values >= 0.0
     signs.setflags(write=False)
-    saddles = saddle_cells = None
+    saddle_cells = None
     if grid.d == 2:
         s10 = np.roll(signs, -1, 0)
         s01 = np.roll(signs, -1, 1)
@@ -109,16 +107,12 @@ def sign_grid(grid: FieldGrid) -> SignGrid:
         center = (values[i, j] + values[i1, j]) + (values[i, j1] + values[i1, j1])
         on_main = (center >= 0.0) == signs[i, j]
         saddle_cells = (cells[on_main], cells[~on_main])
-        saddles = (np.zeros_like(amb), np.zeros_like(amb))
-        for split, at in zip(saddles, saddle_cells):
-            np.put(split, at, True)
-            split.setflags(write=False)
+        for at in saddle_cells:
             at.setflags(write=False)
     return SignGrid(
         d=grid.d,
         M=grid.M,
         signs=signs,
-        saddles=saddles,
         saddle_cells=saddle_cells,
         zero_hits=int(np.count_nonzero(values == 0.0)),
     )
@@ -291,10 +285,10 @@ def _components(sg: SignGrid):
     its second starts the next.  An int32 run-id grid, written only at
     mixed cells, maps each crossed leading-axis face, found from its base
     vertex, to the runs on either side (a saddle's second segment is
-    run-id + 1).  One connected-components pass (`_label`) labels the
-    runs into in-grid patches, numbered by their first run; the row M-1 ->
-    row 0 faces and the column M-1 -> column 0 faces go to
-    `_merge_patches` as seam links.  A run spans one row from its first
+    run-id + 1, at the saddle cells' `searchsorted` positions).  One
+    connected-components pass (`_label`) labels the runs into in-grid
+    patches, numbered by their first run; the row M-1 -> row 0 faces and
+    the column M-1 -> column 0 faces go to `_merge_patches` as seam links.  A run spans one row from its first
     cell to its last, so the component boxes reduce over runs, not cells.
 
     Returns (k, cells, diameters, wraps, comp, starts, lengths): per run,
@@ -318,9 +312,9 @@ def _components(sg: SignGrid):
     # for a saddle cell's second segment
     twin = np.zeros(len(sites), dtype=bool)
     if d == 2:
-        main, anti = (split.ravel() for split in sg.saddles)
-        for at in sg.saddle_cells:
-            twin[np.searchsorted(sites, at)] = True
+        main, anti = sg.saddle_cells
+        both = np.concatenate(sg.saddle_cells)
+        twin[np.searchsorted(sites, both)] = True
     opened = np.add(~face.ravel()[sites], twin, dtype=np.int32)
     run = np.cumsum(opened, dtype=np.int32) - twin - 1  # the run of each cell's first segment
     starts = np.repeat(sites, opened)
@@ -341,15 +335,17 @@ def _components(sg: SignGrid):
         if d == 2:
             # the center sign hands a saddle cell's +e_0 face to its second
             # segment on `anti`, its -e_0 face to its second segment on `main`
-            a += anti[src]
-            b += main[dst]
+            # (all four edges of a saddle cell change sign: both are in `dst`)
+            a[np.searchsorted(dst, (anti + M) % M**2)] += 1
+            b[np.searchsorted(dst, main)] += 1
         rows.append(a[~at_seam])
         cols.append(b[~at_seam])
         seams.append((a[at_seam], b[at_seam], axis))
     # the last-axis seam: each row's column M-1 run meets its column 0 run
     a = run_of[wrap + (M - 1)]
     if d == 2:
-        a += main[wrap + (M - 1)] | anti[wrap + (M - 1)]
+        # a column M-1 saddle cell's second segment holds its seam face
+        a[np.searchsorted(wrap, both[both % M == M - 1] - (M - 1))] += 1
     seams.append((a, run_of[wrap], d - 1))
     npatch, patch = _label(np.concatenate(rows), np.concatenate(cols), nrun)
     cells = np.bincount(patch, weights=lengths, minlength=npatch)

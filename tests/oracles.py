@@ -32,6 +32,14 @@ def box_counts(d: int, n_max: int) -> np.ndarray:
     return counts
 
 
+def main_mask(sg) -> np.ndarray:
+    """The `main` checkerboard cells of a d=2 sign grid, which it keeps as
+    sorted flat cell indices, as the M x M mask the d=2 flood fills take."""
+    mask = np.zeros(sg.signs.shape, dtype=bool)
+    mask.flat[sg.saddle_cells[0]] = True
+    return mask
+
+
 def _cell_faces(signs: np.ndarray, i: int, j: int) -> dict[str, bool]:
     M0, M1 = signs.shape
     s00 = signs[i, j]

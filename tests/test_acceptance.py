@@ -15,7 +15,13 @@ from arw import experiments, field, lattice, nodal
 from arw.algebra import AlgPoly, chebyshev_pair, gradient_system_jacobian, example_trig_poly, verify_csd_identities
 from arw.experiments import proof_exponents
 
-from oracles import box_counts, chi_square_tail_bound, flood_fill_components, flood_fill_domains
+from oracles import (
+    box_counts,
+    chi_square_tail_bound,
+    flood_fill_components,
+    flood_fill_domains,
+    main_mask,
+)
 
 SEQ_DIMS_N = (5, 65, 325, 1105)  # dims 8, 16, 24, 32
 
@@ -129,9 +135,9 @@ def test_criterion_05_topology_oracle():
         sg = nodal.sign_grid(field.eval_grid(sample, 32))
         r, _, _ = nodal.count_domains(sg)
         k, *_ = nodal.count_components(sg)
-        if r != flood_fill_domains(sg.signs, sg.saddles[0])[0]:
+        if r != flood_fill_domains(sg.signs, main_mask(sg))[0]:
             mismatches += 1
-        if k != flood_fill_components(sg.signs, sg.saddles[0])[0]:
+        if k != flood_fill_components(sg.signs, main_mask(sg))[0]:
             mismatches += 1
     _report(
         5,

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import os
 import struct
 
+import numpy as np
 import pytest
 
 from arw import cli, experiments, field, gridio, lattice, nodal
@@ -197,6 +199,22 @@ def test_count_with_gradient_files(tmp_path):
         gridio.write_grid(str(gpath), field.eval_grid(sample, 16, (axis,)))
         grads.append(str(gpath))
     assert run_cli("count", "--in", str(out), "--grad-in", grads[0], "--grad-in", grads[1]) == 0
+
+
+@pytest.mark.parametrize("header", [{"d": 3}, {"n": 13}, {"seed": 6}, {"trial_index": 1}])
+def test_count_rejects_gradient_file_of_another_grid(tmp_path, capsys, header):
+    # the file holds the value grid's true d/dx0, so only its header tells
+    # them apart; a d=3 file of 16 such slabs broadcasts against the d=2 grid
+    out = tmp_path / "v2.bin"
+    run_cli("sample", "--dim", "2", "--n", "5", "--seed", "5", "--trial", "0",
+            "--grid", "16", "--out", str(out))
+    grad = field.eval_grid(field.sample_coefficients(lattice.enumerate_shell(2, 5), 5, 0), 16, (0,))
+    if "d" in header:
+        grad = dataclasses.replace(grad, values=np.broadcast_to(grad.values, (16,) * 3))
+    fake = tmp_path / "grad.bin"
+    gridio.write_grid(str(fake), dataclasses.replace(grad, **header))
+    assert run_cli("count", "--in", str(out), "--grad-in", str(fake)) == 2
+    assert "header does not match the value grid" in capsys.readouterr().err
 
 
 def test_algebra_command(capsys):

@@ -16,6 +16,7 @@ from oracles import (
     flood_fill_components_nd,
     flood_fill_domains,
     flood_fill_domains_nd,
+    main_mask,
 )
 
 
@@ -119,7 +120,7 @@ def test_blob_across_seam_not_wrapping():
 def assert_matches_d2_oracle(sg):
     k, cells, diams, wraps, labels = nodal.count_components(sg)
     oracle_k, segments, widths, oracle_wraps, oracle_labels = flood_fill_components(
-        sg.signs, sg.saddles[0]
+        sg.signs, main_mask(sg)
     )
     assert k == oracle_k
     assert np.array_equal(labels, oracle_labels)
@@ -136,7 +137,7 @@ def test_flood_fill_oracle_small_grids():
             sample = field.sample_coefficients(shell, 321, trial)
             sg = nodal.sign_grid(field.eval_grid(sample, 32))
             r, _, labels = nodal.count_domains(sg)
-            oracle_r, oracle = flood_fill_domains(sg.signs, sg.saddles[0])
+            oracle_r, oracle = flood_fill_domains(sg.signs, main_mask(sg))
             assert r == oracle_r and np.array_equal(labels, oracle)
             assert_matches_d2_oracle(sg)
 
@@ -154,9 +155,9 @@ def test_d2_saddle_grids_match_component_oracle():
         shell = lattice.enumerate_shell(2, n)
         for trial in range(6):
             sg = nodal.sign_grid(field.eval_grid(field.sample_coefficients(shell, 4242, trial), M))
-            split = sg.saddles[0] | sg.saddles[1]
-            saddles += np.count_nonzero(split)
-            on_seam += np.count_nonzero(split[-1]) + np.count_nonzero(split[:, -1])
+            split = np.concatenate(sg.saddle_cells)
+            saddles += len(split)
+            on_seam += np.count_nonzero(split // M == M - 1) + np.count_nonzero(split % M == M - 1)
             assert_matches_d2_oracle(sg)
     assert saddles > 100 and on_seam > 10
 
@@ -209,7 +210,7 @@ def test_d2_sampled_grids_without_saddles_match_nd_oracles():
         checked = 0
         for trial in range(20):
             sg = nodal.sign_grid(field.eval_grid(make_sample(2, n, 4242, trial=trial), M))
-            if any(split.any() for split in sg.saddles):
+            if any(cells.size for cells in sg.saddle_cells):
                 continue
             assert_matches_nd_oracles(sg)
             checked += 1
@@ -300,13 +301,28 @@ def test_sign_grid_saddle_split_matches_corner_mean():
             amb = (signs == s11) & (s10 == np.roll(signs, -1, 1)) & (signs != s10)
             center = values + np.roll(values, -1, axis=0)
             center_plus = center + np.roll(center, -1, axis=1) >= 0.0
-            main, anti = sg.saddles
-            assert np.array_equal(main, amb & (center_plus == signs))
-            assert np.array_equal(anti, amb & (center_plus != signs))
-            for cells, split in zip(sg.saddle_cells, sg.saddles):
+            main = amb & (center_plus == signs)
+            anti = amb & (center_plus != signs)
+            for cells, split in zip(sg.saddle_cells, (main, anti)):
                 assert cells.dtype == np.intp and np.array_equal(cells, np.flatnonzero(split))
+                assert not cells.flags.writeable
             split_cells += int(amb.sum())
     assert split_cells > 0
+
+
+def test_d2_sign_grid_retains_one_byte_per_cell():
+    # the saddle split is kept only as sorted cell indices, so a d=2 sign
+    # grid holds its bool signs, the index arrays and a few small objects
+    M = 1088
+    value = field.eval_grid(make_sample(2, 1105, 5150), M)
+    tracemalloc.start()
+    try:
+        sg = nodal.sign_grid(value)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    indices = sum(cells.nbytes for cells in sg.saddle_cells)
+    assert retained <= M * M + indices + (1 << 14)
 
 
 @pytest.mark.parametrize("d, sizes", [(1, range(1, 30)), (2, range(1, 20)), (3, range(1, 9)),
@@ -330,7 +346,7 @@ def test_domain_kernel_matches_count_domains(d, sizes):
             assert np.array_equal(np.repeat(comp + 1, lengths), labels.ravel())
             # and both against flood fills that share no code with the kernel
             if d == 2:
-                _, oracle = flood_fill_domains(sg.signs, sg.saddles[0])
+                _, oracle = flood_fill_domains(sg.signs, main_mask(sg))
             else:
                 oracle, _, _ = flood_fill_domains_nd(sg.signs)
             assert np.array_equal(labels, oracle)
@@ -361,7 +377,7 @@ def test_component_kernel_matches_count_components(d, sizes):
             # and the public results against flood fills that share no code with the kernel
             if d == 2:
                 _, segments, widths, oracle_wraps, oracle = flood_fill_components(
-                    sg.signs, sg.saddles[0]
+                    sg.signs, main_mask(sg)
                 )
             else:
                 oracle, oracle_wraps, widths = flood_fill_components_nd(sg.signs)
@@ -417,7 +433,7 @@ def assert_domains_match_oracles(values):
     r, volumes, labels = nodal.count_domains(sg)
     assert labels.dtype == np.int32 and labels.shape == values.shape
     if d == 2:
-        _, oracle = flood_fill_domains(sg.signs, sg.saddles[0])
+        _, oracle = flood_fill_domains(sg.signs, main_mask(sg))
     else:
         oracle, _, _ = flood_fill_domains_nd(sg.signs)
     assert np.array_equal(labels, oracle)
@@ -444,7 +460,7 @@ def test_domain_runs_one_vertex_each():
     r, volumes, labels = nodal.count_domains(sg)
     expected = np.ones((M, M), dtype=np.int32)
     expected[~plus] = np.arange(2, 2 + M * M // 2)
-    assert r == 1 + M * M // 2 == flood_fill_domains(sg.signs, sg.saddles[0])[0]
+    assert r == 1 + M * M // 2 == flood_fill_domains(sg.signs, main_mask(sg))[0]
     assert labels.dtype == np.int32 and np.array_equal(labels, expected)
     assert np.array_equal(volumes, np.r_[M * M // 2, np.ones(M * M // 2)] / float(M * M))
 
