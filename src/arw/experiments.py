@@ -211,7 +211,7 @@ def _fmt(value) -> str:
 
 def write_trials_csv(path: str, records: Sequence[TrialRecord]) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for rec in records:
             writer.writerow([_fmt(getattr(rec, col)) for col in CSV_COLUMNS])

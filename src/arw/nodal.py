@@ -19,11 +19,11 @@ last, so the lifted component boxes behind the diameters reduce over
 runs.  A trial's counts build no label grid; only the public counts map
 their components back onto the grid.
 
-`analyze` runs a trial's coarse count and margins on a second thread
-while the calling thread runs its fine count, when the finest grid has
-at least `_OVERLAP_CELLS` cells and the process has two cores to itself;
-NumPy releases the GIL inside its kernels, and on smaller grids the two
-threads mostly contend for it instead.
+`analyze` runs a trial's coarse count and margins (or the margins alone)
+on a second thread while the calling thread counts the finest grid, when
+that grid has at least `_OVERLAP_CELLS` cells and the process has two
+cores to itself; NumPy releases the GIL inside its kernels, and on
+smaller grids the two threads mostly contend for it instead.
 
 Counting on a grid is a discretization heuristic: two features closer than
 one cell can merge.  The `certified` flag combines a conservative
@@ -548,24 +548,25 @@ def _settled(history: list[tuple[int, int]]) -> bool:
 def analyze(sample: WaveSample, M: int, auto_refine: bool = False) -> NodalSummary:
     """Full nodal pipeline: signs, domains, components, margins.
 
-    The 2M grid is synthesized once, and the M counts read its even-index
-    vertices through a strided view; if the budget refuses 2M, M alone is
-    analyzed.
-    With `auto_refine`, the grid keeps doubling until (k, r) are unchanged
-    for two consecutive refinements or the memory budget is hit.  The
-    summary reports the counts and geometry of the finest grid computed,
-    but keeps no grid; the margins are computed for that grid only, over
-    row blocks of its gradient, with no derivative grid.
+    One refinement loop.  The first grid is 2M, or M when the memory
+    budget refuses 2M.  Each pass counts its grid and, beside that count,
+    runs the other stages: on the first 2M grid the M count, read from its
+    even-index vertices through a strided view, and, when no doubling can
+    follow (without `auto_refine`), the margins.  The loop stops after one
+    pass; with `auto_refine` it doubles the grid until (k, r) are unchanged
+    for two consecutive refinements or the budget refuses the next
+    doubling, then takes the margins of the last grid.  The summary reports
+    the counts and geometry of the finest grid, but keeps no grid; the
+    margins reduce row blocks of its gradient, with no derivative grid.
 
-    Without `auto_refine`, once the 2M grid is synthesized, the M count and
-    then the margins run on one worker thread while the calling thread
-    counts 2M.  This happens only when the 2M grid has at least
+    Without `auto_refine`, the other stages run on one worker thread while
+    the calling thread counts, when the pass's grid has at least
     `_OVERLAP_CELLS` cells and the process has two cores to itself: its
     CPU affinity divided by the pool workers that share it
-    (`field._budget_shares`).  Otherwise, and on the budget-refusal and
-    `auto_refine` paths, the stages run in order on the calling thread.
-    The thread is joined before the summary is built, also when a stage
-    raises, so none outlives the call; the summary is the same either way.
+    (`field._budget_shares`); otherwise they run in order on the calling
+    thread.  The thread is joined before the summary is built, also when a
+    stage raises, so none outlives the call; the summary is the same
+    either way.
 
     Certification is heuristic, not a proof.  A summary is certified when
     either the conservative analytic margin certificate fires, or all of:
@@ -580,37 +581,35 @@ def analyze(sample: WaveSample, M: int, auto_refine: bool = False) -> NodalSumma
     Degenerate fields yield certified=False, never an error.
     """
     history = []
-    margins = None
     try:
         value = eval_grid(sample, 2 * M)
     except MemoryBudgetExceeded:
         value = eval_grid(sample, M)
-        summary = _count(value)
-    else:
+    while True:
+        stages = [lambda: _coarse(value, M)] if value.M == 2 * M and not history else []
+        if not auto_refine:
+            stages.append(lambda: stability_margins(sample, value))
         if not auto_refine and value.values.size >= _OVERLAP_CELLS and _spare_core():
             # the pool's thread is joined when the block exits, also on error
             with ThreadPoolExecutor(max_workers=1) as pool:
-                side = pool.submit(lambda: (_coarse(value, M), stability_margins(sample, value)))
+                side = pool.submit(lambda: [stage() for stage in stages])
                 summary = _count(value)
-                coarse, margins = side.result()
+                done = side.result()
         else:
-            coarse = _coarse(value, M)
+            done = [stage() for stage in stages]
             summary = _count(value)
-        history.append(coarse)
-    history.append((summary.k, summary.r))
-    while auto_refine and not _settled(history):
+        if not auto_refine:
+            *done, margins = done
+        history += [*done, (summary.k, summary.r)]
+        if not auto_refine or _settled(history):
+            break
         try:
             value = eval_grid(sample, 2 * value.M)
         except MemoryBudgetExceeded:
             break
-        summary = _count(value)
-        history.append((summary.k, summary.r))
     if auto_refine:
-        stabilized = _settled(history)
-    else:
-        stabilized = len(history) == 2 and _drift_ok(*history)
-    if margins is None:
         margins = stability_margins(sample, value)
+    stabilized = _settled(history) if auto_refine else len(history) == 2 and _drift_ok(*history)
 
     gate = summary.r - 1 <= summary.k <= summary.r + sample.shell.d - 1
     certified = gate and (margins.certified or (stabilized and margins.mu > _mu_floor(sample)))
@@ -694,10 +693,8 @@ def perturb_and_compare(
     scale = perturbation_scale / raw_norm if (perturbation_scale > 0 and raw_norm > 0) else 0.0
     g = sample_from_arrays(shell, ga * scale, gb * scale)
 
-    g_val = eval_grid(g, base.M)
-    g_gradnorm = gradient_norm_grid(g, base.M)
-    sup_g = float(np.max(np.abs(g_val.values)))
-    sup_grad_g = float(np.max(g_gradnorm))
+    sup_g = float(np.max(np.abs(eval_grid(g, base.M).values)))
+    sup_grad_g = max(float(block.max()) for _, block in _gradient_norm_blocks(g, base.M))
     if sup_g >= alpha / 2.0 or sup_grad_g >= beta * L / 2.0:
         raise PerturbationTooLarge(
             f"sup|g|={sup_g:.3g} vs alpha/2={alpha / 2:.3g}, "

@@ -123,6 +123,18 @@ def test_csv_roundtrip(tmp_path):
     assert back == [dataclasses.replace(rec, error="") for rec in records]
 
 
+def test_csv_rows_end_in_newline_only(tmp_path):
+    records = [synthetic_record(25, 4, trial=t) for t in range(3)]
+    path = tmp_path / "trials.csv"
+    write_trials_csv(str(path), records)
+    data = path.read_bytes()
+    # line tools read the last column without a trailing \r
+    assert b"\r" not in data
+    assert data.count(b"\n") == len(records) + 1
+    assert data.split(b"\n")[0].endswith(b",wall_time_ms")
+    assert read_trials_csv(str(path)) == records
+
+
 def test_csv_deterministic_across_parallelism(tmp_path):
     policy = MPolicy.parse("per_L:16")
     paths = []

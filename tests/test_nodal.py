@@ -873,6 +873,50 @@ def test_analyze_auto_refine_stabilizes():
     assert summary.certified
 
 
+# analyze summaries of seed 5150, trial 0 on the paths the per_L:16 golden
+# records miss: (d, n, M, auto_refine, budget MiB) -> (M, k, r,
+# refinement_levels, certified), alpha, mu.  A 20 MiB budget refuses
+# 1088^2 cells and admits 544^2.
+ANALYZE_PINS = [
+    ((2, 65, 17, True, None), (136, 14, 14, 3, True), 0.027484753700363414, 0.05496950740072683),
+    ((2, 25, 11, True, None), (44, 6, 6, 2, True), 0.09198402403816497, 0.18396804807632994),
+    ((3, 9, 7, True, None), (28, 1, 2, 2, True), 0.033041893436723535, 0.06608378687344707),
+    ((2, 1105, 544, False, "20"), (544, 148, 148, 0, False), 0.010077979160656508,
+     0.020155958321313016),
+]
+
+
+@pytest.mark.parametrize("case, want, alpha, mu", ANALYZE_PINS, ids=[
+    "auto-d2-n65", "auto-d2-n25", "auto-d3-n9", "refused-d2-n1105"])
+def test_analyze_reproduces_pinned_summaries(monkeypatch, case, want, alpha, mu):
+    d, n, M, auto_refine, budget = case
+    if budget:
+        monkeypatch.setenv("ARW_MEMORY_BUDGET_MB", budget)
+    else:
+        monkeypatch.delenv("ARW_MEMORY_BUDGET_MB", raising=False)
+    got = nodal.analyze(make_sample(d, n, 5150), M, auto_refine=auto_refine)
+    assert (got.M, got.k, got.r, got.refinement_levels, got.certified) == want
+    # BLAS kernels of another machine may differ in the last bit
+    assert got.alpha == pytest.approx(alpha, rel=1e-12, abs=0.0)
+    assert got.mu == pytest.approx(mu, rel=1e-12, abs=0.0)
+
+
+def test_budget_refused_analyze_overlaps_its_margins(monkeypatch):
+    # the budget refuses 2M; the M grid alone is above the overlap floor, so
+    # its margins run beside its count, and every summary field stays the same
+    monkeypatch.setenv("ARW_MEMORY_BUDGET_MB", "20")
+    sample = make_sample(2, 1105, 5150)
+    M = 544
+    assert M**2 >= nodal._OVERLAP_CELLS
+    summaries = {}
+    for overlap in (False, True):
+        opened = _force_path(monkeypatch, overlap)
+        summaries[overlap] = nodal.analyze(sample, M)
+        assert len(opened) == overlap
+    assert_same_summary(summaries[False], summaries[True])
+    assert (summaries[True].M, summaries[True].refinement_levels) == (M, 0)
+
+
 def test_translation_equivariance():
     sample = make_sample(2, 25, 31)
     M = 32
@@ -1009,6 +1053,19 @@ def test_perturb_cosine_explicit():
 def test_perturb_too_large():
     with pytest.raises(PerturbationTooLarge):
         nodal.perturb_and_compare(make_sample(2, 65, 2025, trial=1), 10.0, 4, 144)
+
+
+def test_perturb_builds_no_gradient_grid(monkeypatch):
+    # sup |grad g| is the maximum over the row blocks the margins reduce
+    def refuse(sample, M):
+        raise AssertionError("a |grad g| grid")
+
+    monkeypatch.setattr(nodal, "gradient_norm_grid", refuse)
+    sample = make_sample(2, 65, 2025, trial=1)
+    res = nodal.perturb_and_compare(sample, 1e-4, 4, 144)
+    assert res.n_before == res.n_after == res.matched
+    with pytest.raises(PerturbationTooLarge):
+        nodal.perturb_and_compare(sample, 10.0, 4, 144)
 
 
 def test_perturb_uncertified_rejected():
