@@ -94,19 +94,12 @@ def cmd_count(args) -> int:
         if float(np.max(np.abs(gref.values - gregen.values))) > 1e-9 * gscale:
             raise ValidationError(f"gradient grid {path} is inconsistent with the value grid")
     summary = nodal.analyze(sample, grid.M, auto_refine=args.auto_refine)
-    payload = {
-        "k": summary.k,
-        "r": summary.r,
-        "domain_volumes": [float(v) for v in summary.domain_volumes],
-        "component_diameters": [float(v) for v in summary.component_diameters],
-        "component_wraps": [bool(v) for v in summary.component_wraps],
-        "alpha": summary.alpha,
-        "beta": summary.beta,
-        "certified": summary.certified,
-        "refinement_levels": summary.refinement_levels,
-        "zero_hits": summary.zero_hits,
-        "M": summary.M,
-    }
+    # every summary field but the margin internals, arrays as lists
+    payload = {}
+    for f in dataclasses.fields(summary):
+        value = getattr(summary, f.name)
+        if f.name not in ("mu", "sup_certified"):
+            payload[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
     _json_dump(payload, args.report)
     return 0
 

@@ -92,14 +92,14 @@ class TrialRecord:
     n: int
     dim_HL: int
     M: int
-    k: int
-    r: int
-    min_domain_vol: float
-    sum_diameters: float
-    alpha: float
-    beta: float
-    certified: bool
-    wall_time_ms: float
+    k: int = 0
+    r: int = 0
+    min_domain_vol: float = 0.0
+    sum_diameters: float = 0.0
+    alpha: float = 0.0
+    beta: float = 0.0
+    certified: bool = False
+    wall_time_ms: float = 0.0
     error: str = field(default="", metadata=_NOT_IN_CSV)  # why the trial was not measured
 
     @property
@@ -124,18 +124,13 @@ def run_trial(d: int, n: int, m_policy: MPolicy, master_seed: int, trial_index: 
     try:
         summary = analyze(sample, M, auto_refine=m_policy.auto_refine)
     except MemoryBudgetExceeded as exc:
-        measured = dict(M=M, k=0, r=0, min_domain_vol=0.0, sum_diameters=0.0, alpha=0.0,
-                        beta=0.0, certified=False, error=f"MemoryBudgetExceeded: {exc}")
+        measured = dict(M=M, error=f"MemoryBudgetExceeded: {exc}")  # the other fields' defaults
     else:
-        measured = dict(
-            M=summary.M,
-            k=summary.k,
-            r=summary.r,
+        same_name = ("M", "k", "r", "alpha", "beta", "certified")  # columns the summary holds
+        measured = {name: getattr(summary, name) for name in same_name}
+        measured.update(
             min_domain_vol=float(np.min(summary.domain_volumes)) if summary.r else 0.0,
             sum_diameters=float(np.sum(summary.component_diameters)),
-            alpha=summary.alpha,
-            beta=summary.beta,
-            certified=summary.certified,
         )
     return TrialRecord(
         trial_index=trial_index,

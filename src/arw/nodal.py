@@ -95,10 +95,9 @@ def sign_grid(grid: FieldGrid) -> SignGrid:
     signs.setflags(write=False)
     saddle_cells = None
     if grid.d == 2:
-        s10 = np.roll(signs, -1, 0)
-        s01 = np.roll(signs, -1, 1)
-        s11 = np.roll(s10, -1, 1)
-        amb = (signs == s11) & (s10 == s01) & (signs != s10)
+        # a checkerboard cell: three of its edges change sign (so the fourth does)
+        down = signs != np.roll(signs, -1, 0)
+        amb = down & np.roll(down, -1, 1) & (signs != np.roll(signs, -1, 1))
         # the corner sum, in this association order, only where it decides
         # (2-D np.nonzero costs ms per call even on sparse masks)
         cells = np.flatnonzero(amb)
@@ -262,34 +261,35 @@ def count_domains(sg: SignGrid) -> tuple[int, np.ndarray, np.ndarray]:
     return r, volumes, labels.reshape(sg.signs.shape)
 
 
-def _mixed(signs: np.ndarray, axes) -> np.ndarray:
-    """True at j when the vertices j + {0,1}^axes (periodic) carry both signs."""
-    if len(axes) == 1:
-        return signs != np.roll(signs, -1, axis=axes[0])
-    pos, neg = signs, ~signs
+def _mixed(crossed, axes, mixed=None) -> np.ndarray:
+    """True at j when the vertices j + {0,1}^axes (periodic) carry both
+    signs, from the edge masks crossed[a] = signs != roll(signs, -1, a):
+    corners are mixed iff an edge of a spanning tree of them is crossed,
+    so adding axis b gives mixed | roll(mixed, -1, b) | crossed[b].
+    `mixed`, when given, is the mask over the axes already spanned."""
     for axis in axes:
-        pos = pos & np.roll(pos, -1, axis=axis)
-        neg = neg & np.roll(neg, -1, axis=axis)
-    return ~(pos | neg)
+        mixed = crossed[axis] if mixed is None else mixed | np.roll(mixed, -1, axis) | crossed[axis]
+    return np.zeros_like(crossed[0]) if mixed is None else mixed  # one vertex is never mixed
 
 
 def _components(sg: SignGrid):
     """count_components without its label grid, on runs of mixed cells.
 
-    Cell j spans the vertices j + {0,1}^d.  One all-+/all- reduction over
-    the leading axes marks each last-axis face (base vertex j, shared by
-    cells j - e_{d-1} and j); two neighbouring faces give the cell mask.
-    The nodes are the maximal runs of mixed cells along the last axis
-    whose shared faces are mixed: a run starts at column 0 or behind an
-    unmixed face, and in d=2 a saddle cell's first segment ends a run and
-    its second starts the next.  An int32 run-id grid, written only at
-    mixed cells, maps each crossed leading-axis face, found from its base
-    vertex, to the runs on either side (a saddle's second segment is
-    run-id + 1, at the saddle cells' `searchsorted` positions).  One
-    connected-components pass (`_label`) labels the runs into in-grid
-    patches, numbered by their first run; the row M-1 -> row 0 faces and
-    the column M-1 -> column 0 faces go to `_merge_patches` as seam links.  A run spans one row from its first
-    cell to its last, so the component boxes reduce over runs, not cells.
+    Cell j spans the vertices j + {0,1}^d.  Every mask is `_mixed` of the
+    per-axis crossing masks, freed before the int32 run-id grid: over the
+    leading axes the last-axis faces (base vertex j, between cells
+    j - e_{d-1} and j), one step more the mixed cells, over all axes but
+    a leading one that axis's crossed faces.  The nodes are the maximal
+    runs of mixed cells along the last axis joined through mixed faces: a
+    run starts at column 0 or behind an unmixed face, and a d=2 saddle
+    cell's first segment ends a run and its second starts the next.  The
+    run-id grid maps each crossed leading-axis face to the runs on either
+    side (a saddle's second segment is run-id + 1, found by
+    `searchsorted`).  `_label` groups runs into in-grid patches, numbered
+    by their first run; faces across the row and column seams go to
+    `_merge_patches` as links, each (patch, patch) pair once per axis.
+    Runs span one row from first cell to last, so the component boxes
+    reduce over runs.
 
     Returns (k, cells, diameters, wraps, comp, starts, lengths): per run,
     in raster order, its 0-based component, first cell (flat index) and
@@ -297,13 +297,12 @@ def _components(sg: SignGrid):
     """
     d, M = sg.d, sg.M
     signs = sg.signs
-    pos, neg = signs, ~signs
-    for axis in range(d - 1):
-        pos = pos & np.roll(pos, -1, axis=axis)
-        neg = neg & np.roll(neg, -1, axis=axis)
-    face = ~(pos | neg).reshape(-1, M)
-    sites = np.flatnonzero(~(pos & np.roll(pos, -1, axis=-1) | neg & np.roll(neg, -1, axis=-1)))
-    del pos, neg
+    crossed = [signs != np.roll(signs, -1, axis) for axis in range(d)]
+    face = _mixed(crossed, range(d - 1))
+    sites = np.flatnonzero(_mixed(crossed, [d - 1], face))
+    faces = [np.flatnonzero(_mixed(crossed, [b for b in range(d) if b != a])) for a in range(d - 1)]
+    del crossed  # before the run-id grid
+    face = face.reshape(-1, M)
     # a column 0 face joins the row's column M-1 cell to its column 0 cell
     # across the seam; the run breaks there
     wrap = np.flatnonzero(face[:, 0]) * M
@@ -326,8 +325,7 @@ def _components(sg: SignGrid):
 
     # crossed leading-axis faces link runs on neighbouring rows
     rows, cols, seams = [np.empty(0, np.int32)], [np.empty(0, np.int32)], []  # d=1: none
-    for axis in range(d - 1):
-        dst = np.flatnonzero(_mixed(signs, [a for a in range(d) if a != axis]))
+    for axis, dst in enumerate(faces):
         stride = M ** (d - 1 - axis)
         at_seam = (dst // stride) % M == 0
         src = dst - stride + M * stride * at_seam
@@ -347,12 +345,14 @@ def _components(sg: SignGrid):
         # a column M-1 saddle cell's second segment holds its seam face
         a[np.searchsorted(wrap, both[both % M == M - 1] - (M - 1))] += 1
     seams.append((a, run_of[wrap], d - 1))
+    del face, faces, run_of  # before csgraph, where the call peaks
     npatch, patch = _label(np.concatenate(rows), np.concatenate(cols), nrun)
     cells = np.bincount(patch, weights=lengths, minlength=npatch)
     step = M * np.eye(d, dtype=np.int64)
-    links = [
-        (patch[a], patch[b], np.broadcast_to(step[axis], (len(a), d))) for a, b, axis in seams
-    ]
+    links = []
+    for a, b, axis in seams:
+        pa, pb = np.divmod(np.unique(patch[a] * npatch + patch[b]), npatch)
+        links.append((pa, pb, np.broadcast_to(step[axis], (len(pa), d))))
 
     k, comp_cells, wraps, comp, lift = _merge_patches(d, cells, links)
     comp, lift = comp[patch], np.take(lift, patch, axis=1)

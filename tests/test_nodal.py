@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import threading
 import tracemalloc
@@ -325,6 +326,21 @@ def test_d2_sign_grid_retains_one_byte_per_cell():
     assert retained <= M * M + indices + (1 << 14)
 
 
+def test_d2_sign_grid_peak_is_five_bytes_per_cell():
+    # the checkerboard test reads three crossed edges per cell: the signs,
+    # two edge masks and two temporaries at once, never a fourth rolled copy
+    M = 1088
+    value = field.eval_grid(make_sample(2, 1105, 5150), M)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        nodal.sign_grid(value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * M * M + (1 << 14)
+
+
 @pytest.mark.parametrize("d, sizes", [(1, range(1, 30)), (2, range(1, 20)), (3, range(1, 9)),
                                       (4, range(1, 6))])
 def test_domain_kernel_matches_count_domains(d, sizes):
@@ -529,15 +545,45 @@ def test_stability_margins_blocks_keep_mu_exact(d, n, M, product):
         assert expected < 1e3  # the minimum sits at `where`
 
 
-def test_mixed_one_axis_is_the_all_sign_reduction():
-    # one axis: mixed exactly where neither all-+ nor all-- holds
+def test_mixed_recurrence_is_the_all_sign_reduction():
+    # every ordered nonempty axis subset at d = 1..4: mixed exactly where
+    # the corners j + {0,1}^axes are neither all + nor all -
     rng = np.random.default_rng(17)
-    for shape in ((9, 7), (5, 6, 4)):
-        signs = rng.random(shape) < 0.5
-        for axis in range(len(shape)):
-            rolled = np.roll(signs, -1, axis)
-            expected = ~((signs & rolled) | (~signs & ~rolled))
-            assert np.array_equal(nodal._mixed(signs, [axis]), expected), (shape, axis)
+    for shape in ((11,), (9, 7), (5, 6, 4), (3, 4, 5, 3)):
+        d = len(shape)
+        for density in (0.0, 0.2, 0.5, 0.9):
+            signs = rng.random(shape) < density
+            crossed = [signs != np.roll(signs, -1, axis) for axis in range(d)]
+            assert not nodal._mixed(crossed, ()).any()  # one vertex
+            for size in range(1, d + 1):
+                for axes in itertools.permutations(range(d), size):
+                    pos, neg = signs, ~signs
+                    for axis in axes:
+                        pos = pos & np.roll(pos, -1, axis)
+                        neg = neg & np.roll(neg, -1, axis)
+                    expected = ~(pos | neg)
+                    assert np.array_equal(nodal._mixed(crossed, axes), expected), (shape, axes)
+                    # one step more from the mask over the other axes
+                    head = nodal._mixed(crossed, axes[:-1])
+                    assert np.array_equal(nodal._mixed(crossed, axes[-1:], head), expected)
+
+
+def test_components_send_each_seam_pair_once(monkeypatch):
+    # a d=3 trial grid has hundreds of seam faces between a few patches;
+    # the merge gets each (patch, patch) pair once per seam axis
+    seen = []
+    merge = nodal._merge_patches
+
+    def spy(d, cells, links):
+        seen.extend(links)
+        return merge(d, cells, links)
+
+    monkeypatch.setattr(nodal, "_merge_patches", spy)
+    nodal._components(nodal.sign_grid(field.eval_grid(make_sample(3, 17, 777), 64)))
+    assert len(seen) == 3
+    for pa, pb, rel in seen:
+        assert len(set(zip(pa.tolist(), pb.tolist()))) == len(pa) > 0
+        assert len({tuple(row) for row in rel.tolist()}) == 1
 
 
 def merge_patches(cells, links):
