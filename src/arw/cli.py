@@ -94,11 +94,11 @@ def cmd_count(args) -> int:
         if float(np.max(np.abs(gref.values - gregen.values))) > 1e-9 * gscale:
             raise ValidationError(f"gradient grid {path} is inconsistent with the value grid")
     summary = nodal.analyze(sample, grid.M, auto_refine=args.auto_refine)
-    # every summary field but the margin internals, arrays as lists
+    # every summary field but the vertex margin mu, arrays as lists
     payload = {}
     for f in dataclasses.fields(summary):
         value = getattr(summary, f.name)
-        if f.name not in ("mu", "sup_certified"):
+        if f.name != "mu":
             payload[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
     _json_dump(payload, args.report)
     return 0
@@ -353,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_experiment)
 
     p = sub.add_parser("verify", help="run the exact-invariant suite")
-    p.add_argument("--fault", default=None, help="inject a named fault (negative control)")
+    p.add_argument("--fault", default=None, choices=("parseval",),
+                   help="inject a named fault (negative control)")
     p.set_defaults(fn=cmd_verify)
 
     return parser

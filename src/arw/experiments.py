@@ -181,19 +181,21 @@ def run_trials(
     """Run `trials` independent trials, in trial order; records are
     identical at any parallelism (wall times aside) because trial t draws
     from the (master_seed, t) stream, as long as no worker hits its share
-    of the memory budget (budget / parallelism)."""
+    of the memory budget.  The pool has min(parallelism, trials) workers,
+    and they split the budget evenly, so no idle worker takes a share."""
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     args = (repeat(d), repeat(n), repeat(m_policy), repeat(master_seed), range(trials))
-    if parallelism <= 1:
+    workers = min(parallelism, trials)
+    if workers <= 1:
         return list(map(run_trial, *args))
     # the counts import csgraph on first use; loaded here, every forked
     # worker inherits it instead of importing it again in each pool
     import scipy.sparse.csgraph  # noqa: F401
 
-    with ProcessPoolExecutor(max_workers=parallelism, initializer=_share_budget,
-                             initargs=(parallelism,)) as pool:
-        return list(pool.map(run_trial, *args, chunksize=max(1, trials // (4 * parallelism))))
+    with ProcessPoolExecutor(max_workers=workers, initializer=_share_budget,
+                             initargs=(workers,)) as pool:
+        return list(pool.map(run_trial, *args, chunksize=max(1, trials // (4 * workers))))
 
 
 def _fmt(value) -> str:

@@ -120,8 +120,8 @@ class WaveSample:
         return math.sqrt(float(np.sum(self.a**2) + np.sum(self.b**2)) / self.shell.dim_HL)
 
     def coeff_l1_bound(self) -> float:
-        """sqrt(2/N) * sum(|a|+|b|): a sup-norm bound for f, and for the
-        gradient and Hessian after scaling by (2*pi*L) and (2*pi*L)^2."""
+        """sqrt(2/N) * sum(|a|+|b|): a sup-norm bound for f; times 2*pi*L,
+        the bound on |grad f| that scales `nodal._mu_floor`."""
         return self.normalization * float(np.sum(np.abs(self.a)) + np.sum(np.abs(self.b)))
 
 

@@ -26,9 +26,10 @@ cores to itself; NumPy releases the GIL inside its kernels, and on
 smaller grids the two threads mostly contend for it instead.
 
 Counting on a grid is a discretization heuristic: two features closer than
-one cell can merge.  The `certified` flag combines a conservative
-analytic margin test with agreement of the counts under grid doubling,
-which is the operational stand-in for continuum counting.
+one cell can merge.  The `certified` flag rests on agreement of the
+counts under grid doubling, the operational stand-in for continuum
+counting, together with a positive vertex margin and the
+component/domain consistency gate (`analyze`).
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ from . import rng
 from .errors import MemoryBudgetExceeded, PerturbationTooLarge, Uncertified
 from .field import FieldGrid, WaveSample, _spectrum_rows, eval_grid, sample_from_arrays
 
-# The nearest vertex is at most half a cell diagonal away (stability_margins).
-_GUARD = 0.5
 # Counts may move by max(1, this fraction of the count) across a grid doubling.
 _DRIFT_TOLERANCE = 0.02
 # stability_margins synthesizes and reduces the gradient in row blocks of
@@ -401,17 +400,16 @@ def count_components(
 
 @dataclass(frozen=True)
 class Margins:
-    """Vertex dichotomy margins and the conservative certificate.
+    """Vertex dichotomy margins.
 
     mu is the vertex margin min over vertices of max(|f|, |grad f|/(2 pi L));
     alpha/beta split it so every vertex has |f| > alpha or |grad f| > beta*L
-    with slack mu/2.  `certified` additionally demands that the analytic
-    coefficient bound on between-vertex variation cannot close the gap.
+    with slack mu/2.  They certify nothing alone: `analyze` certifies a
+    trial by mu together with the gate and the drift test.
     """
 
     alpha: float
     beta: float
-    certified: bool
     mu: float
 
 
@@ -443,19 +441,12 @@ def gradient_norm_grid(sample: WaveSample, M: int) -> np.ndarray:
 
 
 def stability_margins(sample: WaveSample, grid_value: FieldGrid) -> Margins:
-    """Margins (alpha, beta) and the analytic between-vertex certificate.
+    """Margins (alpha, beta) and the vertex margin mu of one value grid.
 
     mu = min over vertices of max(|f|, |grad f| / (2 pi L)) is reduced
     over row blocks of the grid: each block synthesizes only its rows of
     the d first derivatives (`field._spectrum_rows`), so no derivative or
     |grad f| grid is built.  The minimum of the block minima is exact.
-
-    The variation budget uses the l1 coefficient bound rho_c: B1 = 2*pi*L*rho_c
-    bounds |grad f|, B2 = (2*pi*L)^2*rho_c bounds the Hessian norm, and the
-    guard factor _GUARD accounts for the nearest-vertex distance being half
-    the cell diagonal.  Conservative but sound; random fields at practical
-    resolutions are instead certified through refinement agreement (see
-    `analyze`).
     """
     if grid_value.derivative_tag != ():
         raise ValueError("stability_margins expects a value grid")
@@ -471,12 +462,7 @@ def stability_margins(sample: WaveSample, grid_value: FieldGrid) -> Margins:
         scaled /= 2.0 * np.pi * L
         lows.append(np.maximum(np.abs(values[rows]), scaled, out=scaled).min())
     mu = float(np.min(lows))
-    rho_c = sample.coeff_l1_bound()
-    b1 = 2.0 * np.pi * L * rho_c
-    b2 = (2.0 * np.pi * L) ** 2 * rho_c
-    s = math.sqrt(shell.d) / grid_value.M
-    certified = mu - b2 * s * s / 2.0 - b1 * s * _GUARD > 0.0
-    return Margins(alpha=mu / 2.0, beta=np.pi * mu, certified=bool(certified), mu=mu)
+    return Margins(alpha=mu / 2.0, beta=np.pi * mu, mu=mu)
 
 
 @dataclass(frozen=True)
@@ -495,7 +481,6 @@ class NodalSummary:
     zero_hits: int = 0
     M: int = 0
     mu: float = 0.0
-    sup_certified: bool = False
 
 
 def _count(value: FieldGrid) -> NodalSummary:
@@ -569,16 +554,17 @@ def analyze(sample: WaveSample, M: int, auto_refine: bool = False) -> NodalSumma
     either way.
 
     Certification is heuristic, not a proof.  A summary is certified when
-    either the conservative analytic margin certificate fires, or all of:
-    the vertex margin is positive (above FFT noise), the component/domain
-    counts satisfy the consistency gate r - 1 <= k <= r + d - 1, and the
-    counts are stable under refinement: unchanged over the last two
-    doublings with `auto_refine`, otherwise moved by at most
-    max(1, _DRIFT_TOLERANCE * count) across the one doubling.  The gate
-    constrains only d >= 3: in d=2 the counts always satisfy
-    r = k + 1 - [some component wraps] (Jordan curves on the torus), so
-    there certification rests on the margin and the drift test.
-    Degenerate fields yield certified=False, never an error.
+    all of these hold: the vertex margin is positive (above FFT noise), the
+    component/domain counts satisfy the consistency gate
+    r - 1 <= k <= r + d - 1, and the counts are stable under refinement:
+    unchanged over the last two doublings with `auto_refine`, otherwise
+    moved by at most max(1, _DRIFT_TOLERANCE * count) across the one
+    doubling.  A trial whose memory budget refuses a doubling that test
+    needs is never certified.  The gate constrains only d >= 3: in d=2 the
+    counts always satisfy r = k + 1 - [some component wraps] (Jordan
+    curves on the torus), so there certification rests on the margin and
+    the drift test.  Degenerate fields yield certified=False, never an
+    error.
     """
     history = []
     try:
@@ -612,7 +598,7 @@ def analyze(sample: WaveSample, M: int, auto_refine: bool = False) -> NodalSumma
     stabilized = _settled(history) if auto_refine else len(history) == 2 and _drift_ok(*history)
 
     gate = summary.r - 1 <= summary.k <= summary.r + sample.shell.d - 1
-    certified = gate and (margins.certified or (stabilized and margins.mu > _mu_floor(sample)))
+    certified = gate and stabilized and margins.mu > _mu_floor(sample)
     return replace(
         summary,
         alpha=margins.alpha,
@@ -620,7 +606,6 @@ def analyze(sample: WaveSample, M: int, auto_refine: bool = False) -> NodalSumma
         certified=bool(certified),
         refinement_levels=len(history) - 1,
         mu=margins.mu,
-        sup_certified=margins.certified,
     )
 
 

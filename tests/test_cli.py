@@ -79,7 +79,10 @@ def test_sample_and_count_roundtrip(tmp_path, capsys):
     payload = json.loads(report.read_text())
     assert payload["r"] >= 1 and payload["k"] >= 0
     assert sum(payload["domain_volumes"]) == pytest.approx(1.0, abs=1e-9)
-    assert set(payload) >= {"k", "r", "alpha", "beta", "certified", "refinement_levels"}
+    assert set(payload) == {
+        "M", "alpha", "beta", "certified", "component_diameters", "component_wraps",
+        "domain_volumes", "k", "r", "refinement_levels", "zero_hits",
+    }
 
 
 def test_sample_rejects_negative_seed_or_trial(tmp_path, capsys):
@@ -545,6 +548,18 @@ def test_verify_suite_fault_injection(capsys):
     assert run_cli("verify", "--fault", "parseval") == 1
     out = capsys.readouterr().out
     assert "parseval_fft_direct  FAIL" in out.replace("   ", "  ") or "FAIL" in out
+
+
+def test_verify_rejects_unknown_fault(capsys, monkeypatch):
+    # a misspelt negative control must not run the clean suite and pass
+    def refuse(fault=None):
+        raise AssertionError(f"suite ran with fault {fault!r}")
+
+    monkeypatch.setattr(cli, "verify_suite", refuse)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", "--fault", "parsevl")
+    assert exc.value.code == 2
+    assert "invalid choice: 'parsevl'" in capsys.readouterr().err
 
 
 def test_verify_suite_repeatable(capsys):

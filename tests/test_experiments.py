@@ -104,6 +104,17 @@ def test_run_trials_flags_memory_errors(monkeypatch):
     assert (records[0].M, records[0].k, records[0].r) == (4096, 0, 0)
 
 
+def test_idle_workers_take_no_budget_share(monkeypatch):
+    # 1 MiB admits the 96^2 grid of d=2 n=5 at a half share, not at a
+    # quarter; one trial needs one worker, which keeps the whole budget
+    monkeypatch.setenv("ARW_MEMORY_BUDGET_MB", "1")
+    policy = MPolicy.parse("per_L:16")
+    one, four = (run_trials(2, 5, 1, policy, 7, parallelism=p) for p in (1, 4))
+    assert (one[0].M, one[0].certified) == (96, True)
+    strip = [dataclasses.replace(rec, wall_time_ms=0.0) for rec in (*one, *four)]
+    assert strip[0] == strip[1]
+
+
 def test_csv_roundtrip(tmp_path):
     records = run_trials(2, 25, 4, MPolicy.parse("per_L:16"), 7, parallelism=1)
     records.append(synthetic_record(65, 3, certified=False, trial=4))

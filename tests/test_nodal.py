@@ -655,19 +655,11 @@ def test_counts_do_not_depend_on_csgraph_label_order(monkeypatch):
 
 def test_stability_margins_cosine():
     cosx = cosine_sample()
-    for M, expected in ((8, False), (16, True), (32, True)):
+    for M in (8, 16, 32):
         margins = nodal.stability_margins(cosx, field.eval_grid(cosx, M))
         assert margins.mu >= 1 / math.sqrt(2) - 1e-12
-        assert margins.certified is expected
     assert margins.alpha == pytest.approx(margins.mu / 2)
     assert margins.beta == pytest.approx(math.pi * margins.mu)
-
-
-def test_stability_margins_degenerate_pair():
-    shell = lattice.enumerate_shell(2, 1)
-    coscos = field.sample_from_arrays(shell, np.array([math.sqrt(2), math.sqrt(2)]), np.zeros(2))
-    for M in (16, 33, 64):
-        assert not nodal.stability_margins(coscos, field.eval_grid(coscos, M)).certified
 
 
 def test_stability_margins_zero_field():
@@ -675,7 +667,7 @@ def test_stability_margins_zero_field():
     zero = field.sample_from_arrays(shell, np.zeros(2), np.zeros(2))
     grid = field.eval_grid(zero, 16)
     margins = nodal.stability_margins(zero, grid)
-    assert margins.mu == 0.0 and not margins.certified
+    assert margins.mu == 0.0
     # the gradient rows come from the sample, so the grid must be its M^d
     cube = field.FieldGrid(d=3, n=1, M=16, values=np.zeros((16, 16, 16)))
     with pytest.raises(ValueError):
@@ -758,24 +750,36 @@ def test_analyze_budget_admits_M_not_2M(monkeypatch):
     value = field.eval_grid(sample, M)
     margins = nodal.stability_margins(sample, value)
     assert (summary.alpha, summary.beta, summary.mu) == (margins.alpha, margins.beta, margins.mu)
-    # the M grid alone: counts of a direct synthesis, certified only by the
-    # analytic margin test because no doubling was checked
+    # the M grid alone: counts of a direct synthesis, never certified
+    # because no doubling was checked
     sg = nodal.sign_grid(value)
     r, _, _ = nodal.count_domains(sg)
     k, *_ = nodal.count_components(sg)
     assert (summary.k, summary.r) == (k, r)
-    assert summary.certified == (r - 1 <= k <= r + 1 and margins.certified)
+    assert summary.certified is False
+
+
+def test_budget_refused_pure_mode_is_uncertified(monkeypatch):
+    # cos(2 pi 5x) has a large vertex margin and gate-consistent counts,
+    # but a refused 2M grid leaves no doubling to check
+    pure = field.pure_mode(lattice.enumerate_shell(2, 25), (5, 0), "cos")
+    M = 128
+    assert nodal.analyze(pure, M).certified
+    monkeypatch.setenv("ARW_MEMORY_BUDGET_MB", "1")
+    summary = nodal.analyze(pure, M)
+    assert (summary.M, summary.refinement_levels, summary.k, summary.r) == (M, 0, 10, 10)
+    assert summary.mu > 0.5
+    assert summary.certified is False
 
 
 def test_auto_refine_stops_at_budget(monkeypatch):
     sample = make_sample(2, 25, 13)
     M = 64
     # 1 MiB admits 128^2 cells and refuses 256^2: one doubling, never three
-    # equal counts, so only the analytic margin test could certify
+    # equal counts, so the trial is not certified
     monkeypatch.setenv("ARW_MEMORY_BUDGET_MB", "1")
     summary = nodal.analyze(sample, M, auto_refine=True)
     assert (summary.M, summary.refinement_levels) == (2 * M, 1)
-    assert not summary.sup_certified
     assert not summary.certified
 
 
