@@ -18,13 +18,7 @@ import numpy as np
 
 from . import algebra, experiments, field, gridio, lattice, nodal
 from .config import load_config
-from .errors import (
-    ArwError,
-    ConfigParseError,
-    EmptyShell,
-    UnknownPolicy,
-    ValidationError,
-)
+from .errors import ArwError, ValidationError
 
 
 def _json_dump(obj, path: str | None) -> None:
@@ -162,14 +156,21 @@ def _box_count(d: int, n: int) -> int:
     return total
 
 
+# faults `verify_suite` can inject, by name
+FAULTS = ("parseval",)
+
+
 def verify_suite(fault: str | None = None) -> list[CheckResult]:
     """One-shot exact checks at small scale (< 60 s).
 
     `fault` injects a deliberate corruption into the data under test (not
     into the oracles) so the suite's sensitivity can be demonstrated:
     currently "parseval" perturbs one sampled coefficient before the norm
-    comparison.
+    comparison.  A name not in FAULTS raises ValidationError before any
+    check runs.
     """
+    if fault is not None and fault not in FAULTS:
+        raise ValidationError(f"unknown fault {fault!r}; expected one of {FAULTS}")
     checks: list[CheckResult] = []
 
     def run(name: str, fn) -> None:
@@ -353,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_experiment)
 
     p = sub.add_parser("verify", help="run the exact-invariant suite")
-    p.add_argument("--fault", default=None, choices=("parseval",),
+    p.add_argument("--fault", default=None, choices=FAULTS,
                    help="inject a named fault (negative control)")
     p.set_defaults(fn=cmd_verify)
 
@@ -365,7 +366,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValidationError, ConfigParseError, UnknownPolicy, EmptyShell) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArwError as exc:

@@ -5,15 +5,23 @@ class ArwError(Exception):
     """Base class for all toolkit errors."""
 
 
+class ValidationError(ArwError, ValueError):
+    """Config or argument value is structurally invalid; names the field.
+
+    Also a ValueError, so callers that guard library calls with
+    `except ValueError` keep working.  The command line exits 2 on it and its
+    subclasses alone."""
+
+
 class Overflow(ArwError):
     """A quantity left the signed 64-bit range it is contracted to stay in."""
 
 
-class EmptyShell(ArwError):
+class EmptyShell(ValidationError):
     """Operation requires a nonempty lattice shell."""
 
 
-class UnknownPolicy(ArwError):
+class UnknownPolicy(ValidationError):
     """Sequence policy name not recognized."""
 
 
@@ -49,15 +57,8 @@ class IdentityFailure(ArwError):
     """An exact polynomial identity failed; indicates an implementation bug."""
 
 
-class ConfigParseError(ArwError):
+class ConfigParseError(ValidationError):
     """Config file is not syntactically valid; carries line information."""
-
-
-class ValidationError(ArwError, ValueError):
-    """Config or argument value is structurally invalid; names the field.
-
-    Also a ValueError, so callers that guard library calls with
-    `except ValueError` keep working."""
 
 
 class AliasError(ValidationError):

@@ -49,11 +49,13 @@ from .lattice import LatticeShell, orthogonality_sums
 
 DEFAULT_MEMORY_BUDGET_MB = 512
 # What one M^d grid costs against the budget: the tracemalloc peak of a
-# whole `nodal.analyze` per cell of its finest grid, which is 25.2-28.2 B
-# at d=2 (n=325 and 1105) with the stages overlapped on two threads
-# (23.4-24.8 B in order) and 22.3-22.4 B at d=3 (n=17).  At the alias floor
-# (n=1105, M 68 -> 136) it is 72.5-80.0 B, because fixed costs dominate an
-# 18,496-cell grid; the budget matters only for large grids.
+# whole `nodal.analyze` per cell of its finest grid.  At per_L:16 with the
+# stages overlapped on two threads it is 19.6-22.4 B at d=2 (n=325 and
+# 1105; 18.0-18.6 B in order) and 20.1-21.9 B at d=3 (n=17); under
+# auto_refine it is 15.6-18.0 B at d=2 (n=325 and 1105).  At the alias
+# floor (n=1105, M 68 -> 136) it is 61-68 B, because fixed costs dominate
+# an 18,496-cell grid; the budget matters only for large grids.
+# (tracemalloc, seeds 1301, 1421 and 7.)
 ANALYZE_BYTES_PER_CELL = 48
 
 

@@ -19,10 +19,10 @@ last, so the lifted component boxes behind the diameters reduce over
 runs.  A trial's counts build no label grid; only the public counts map
 their components back onto the grid.
 
-`analyze` runs a trial's coarse count and margins (or the margins alone)
-on a second thread while the calling thread counts the finest grid, when
-that grid has at least `_OVERLAP_CELLS` cells and the process has two
-cores to itself; NumPy releases the GIL inside its kernels, and on
+Each `analyze` pass runs its grid's margins (after the coarse count, on
+the first 2M grid) on a second thread while the calling thread counts
+that grid, when it has at least `_OVERLAP_CELLS` cells and the process
+has two cores to itself; NumPy releases the GIL inside its kernels, and on
 smaller grids the two threads mostly contend for it instead.
 
 Counting on a grid is a discretization heuristic: two features closer than
@@ -534,24 +534,23 @@ def analyze(sample: WaveSample, M: int, auto_refine: bool = False) -> NodalSumma
     """Full nodal pipeline: signs, domains, components, margins.
 
     One refinement loop.  The first grid is 2M, or M when the memory
-    budget refuses 2M.  Each pass counts its grid and, beside that count,
-    runs the other stages: on the first 2M grid the M count, read from its
-    even-index vertices through a strided view, and, when no doubling can
-    follow (without `auto_refine`), the margins.  The loop stops after one
-    pass; with `auto_refine` it doubles the grid until (k, r) are unchanged
-    for two consecutive refinements or the budget refuses the next
-    doubling, then takes the margins of the last grid.  The summary reports
-    the counts and geometry of the finest grid, but keeps no grid; the
-    margins reduce row blocks of its gradient, with no derivative grid.
+    budget refuses 2M.  Every pass counts its grid and, beside that count,
+    runs the other stages in this order: on the first 2M grid the M count,
+    read from its even-index vertices through a strided view, then the
+    margins of the pass's grid, which reduce row blocks of its gradient
+    with no derivative grid.  The loop stops after one pass; with
+    `auto_refine` it doubles the grid until (k, r) are unchanged for two
+    consecutive refinements or the budget refuses the next doubling.  The
+    summary reports the counts, geometry and margins of the finest grid,
+    but keeps no grid.
 
-    Without `auto_refine`, the other stages run on one worker thread while
-    the calling thread counts, when the pass's grid has at least
-    `_OVERLAP_CELLS` cells and the process has two cores to itself: its
-    CPU affinity divided by the pool workers that share it
-    (`field._budget_shares`); otherwise they run in order on the calling
-    thread.  The thread is joined before the summary is built, also when a
-    stage raises, so none outlives the call; the summary is the same
-    either way.
+    The other stages run on one worker thread while the calling thread
+    counts, when the pass's grid has at least `_OVERLAP_CELLS` cells and
+    the process has two cores to itself: its CPU affinity divided by the
+    pool workers that share it (`field._budget_shares`); otherwise they
+    run in order on the calling thread.  The thread is joined before the
+    next pass, also when a stage raises, so none outlives the call; the
+    summary is the same either way.
 
     Certification is heuristic, not a proof.  A summary is certified when
     all of these hold: the vertex margin is positive (above FFT noise), the
@@ -573,19 +572,16 @@ def analyze(sample: WaveSample, M: int, auto_refine: bool = False) -> NodalSumma
         value = eval_grid(sample, M)
     while True:
         stages = [lambda: _coarse(value, M)] if value.M == 2 * M and not history else []
-        if not auto_refine:
-            stages.append(lambda: stability_margins(sample, value))
-        if not auto_refine and value.values.size >= _OVERLAP_CELLS and _spare_core():
+        stages.append(lambda: stability_margins(sample, value))
+        if value.values.size >= _OVERLAP_CELLS and _spare_core():
             # the pool's thread is joined when the block exits, also on error
             with ThreadPoolExecutor(max_workers=1) as pool:
                 side = pool.submit(lambda: [stage() for stage in stages])
                 summary = _count(value)
-                done = side.result()
+                *done, margins = side.result()
         else:
-            done = [stage() for stage in stages]
+            *done, margins = [stage() for stage in stages]
             summary = _count(value)
-        if not auto_refine:
-            *done, margins = done
         history += [*done, (summary.k, summary.r)]
         if not auto_refine or _settled(history):
             break
@@ -593,8 +589,6 @@ def analyze(sample: WaveSample, M: int, auto_refine: bool = False) -> NodalSumma
             value = eval_grid(sample, 2 * value.M)
         except MemoryBudgetExceeded:
             break
-    if auto_refine:
-        margins = stability_margins(sample, value)
     stabilized = _settled(history) if auto_refine else len(history) == 2 and _drift_ok(*history)
 
     gate = summary.r - 1 <= summary.k <= summary.r + sample.shell.d - 1

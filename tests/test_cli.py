@@ -8,7 +8,7 @@ import pytest
 
 from arw import cli, experiments, field, gridio, lattice, nodal
 from arw.config import ExperimentConfig, canonicalize, from_ini, load_config
-from arw.errors import ConfigParseError, ValidationError
+from arw.errors import AliasError, ConfigParseError, EmptyShell, UnknownPolicy, ValidationError
 
 MINIMAL_CONFIG = """
 [experiment]
@@ -560,6 +560,29 @@ def test_verify_rejects_unknown_fault(capsys, monkeypatch):
         run_cli("verify", "--fault", "parsevl")
     assert exc.value.code == 2
     assert "invalid choice: 'parsevl'" in capsys.readouterr().err
+
+
+def test_verify_suite_refuses_unknown_fault_before_any_check(monkeypatch):
+    # called directly, a misspelt fault must not run the clean suite either
+    ran = []
+    monkeypatch.setattr(cli, "_box_count", lambda d, n: ran.append((d, n)))
+    with pytest.raises(ValidationError, match="parsevl"):
+        cli.verify_suite(fault="parsevl")
+    assert ran == []
+
+
+@pytest.mark.parametrize(
+    "error", [ValidationError, AliasError, ConfigParseError, UnknownPolicy, EmptyShell]
+)
+def test_validation_errors_exit_2(monkeypatch, capsys, error):
+    def fail(args):
+        raise error("bad input")
+
+    monkeypatch.setattr(cli, "cmd_lattice", fail)
+    assert run_cli("lattice", "--dim", "2", "--n", "5") == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: bad input\n"
+    assert captured.out == ""
 
 
 def test_verify_suite_repeatable(capsys):

@@ -715,7 +715,8 @@ def test_analyze_counts_through_the_kernels(monkeypatch):
 
 def test_analyze_builds_no_gradient_grid(monkeypatch):
     # margins reduce row blocks of the derivative syntheses: one eval_grid
-    # call per trial, at 2M, and no derivative or |grad f| grid
+    # call per pass, at 2M and each doubling after it, and no derivative or
+    # |grad f| grid, also when every pass takes its grid's margins
     def refuse(sample, M):
         raise AssertionError("a gradient grid on the trial path")
 
@@ -728,11 +729,13 @@ def test_analyze_builds_no_gradient_grid(monkeypatch):
 
     monkeypatch.setattr(nodal, "gradient_norm_grid", refuse)
     monkeypatch.setattr(nodal, "eval_grid", spy)
-    for d, n, M in ((2, 65, 48), (3, 9, 12)):
+    for (d, n, M), auto_refine in itertools.product(((2, 65, 48), (3, 9, 12)), (False, True)):
         calls.clear()
-        summary = nodal.analyze(make_sample(d, n, 12), M)
-        assert calls == [(2 * M, ())]
-        assert summary.M == 2 * M and summary.mu > 0.0
+        summary = nodal.analyze(make_sample(d, n, 12), M, auto_refine=auto_refine)
+        passes = summary.refinement_levels
+        assert passes >= 2 if auto_refine else passes == 1
+        assert calls == [(2**level * M, ()) for level in range(1, passes + 1)]
+        assert summary.M == 2**passes * M and summary.mu > 0.0
 
 
 def test_analyze_budget_admits_M_not_2M(monkeypatch):
@@ -823,15 +826,18 @@ def assert_same_summary(a, b):
 @pytest.mark.parametrize("d, n, M", [(2, 325, 304), (2, 1105, 544), (3, 9, 32)])
 @pytest.mark.parametrize("auto_refine", [False, True])
 def test_overlapped_analyze_equals_serial(monkeypatch, d, n, M, auto_refine):
-    # 2M is above the overlap floor; the coarse count and the margins move to
-    # a worker thread, and every summary field stays the same
+    # 2M and every doubling after it are above the overlap floor; each pass
+    # moves its stages (the coarse count on the first, then the margins) to
+    # one worker thread, and every summary field stays the same
     assert (2 * M) ** d >= nodal._OVERLAP_CELLS
     sample = make_sample(d, n, 1901)
     summaries = {}
     for overlap in (False, True):
         opened = _force_path(monkeypatch, overlap)
         summaries[overlap] = nodal.analyze(sample, M, auto_refine=auto_refine)
-        assert len(opened) == (overlap and not auto_refine)
+        passes = summaries[overlap].refinement_levels
+        assert passes >= 2 if auto_refine else passes == 1
+        assert len(opened) == (passes if overlap else 0)
     assert_same_summary(summaries[False], summaries[True])
 
 
