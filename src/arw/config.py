@@ -1,9 +1,9 @@
 """Experiment configuration: a line-oriented key = value format with
 sections, canonical serialization, and strict validation.
 
-Unknown sections or keys are rejected by field path.  `canonicalize`
-is idempotent: parsing and re-serializing a canonical text reproduces it
-byte for byte, so configs are archivable run artifacts.
+Unknown sections, `[DEFAULT]` too, or keys are rejected by field path.
+`canonicalize` is idempotent: parsing and re-serializing a canonical
+text reproduces it byte for byte, so configs are archivable run artifacts.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ class ExperimentConfig:
     master_seed: int = 0
     epsilons: tuple[float, ...] = ()
     parallelism: int = 1
-    memory_budget_mb: int = 0  # 0: leave the environment default in place
     csv: str = field(default="trials.csv", metadata=_OUTPUT)
     report: str = field(default="report.json", metadata=_OUTPUT)
     plots_dir: str = field(default="", metadata=_OUTPUT)
@@ -68,8 +67,6 @@ class ExperimentConfig:
             raise ValidationError("experiment.parallelism must be >= 1")
         if self.master_seed < 0:
             raise ValidationError("experiment.master_seed must be >= 0")
-        if self.memory_budget_mb < 0:
-            raise ValidationError("experiment.memory_budget_mb must be >= 0")
         MPolicy.parse(self.m_policy)  # raises ValidationError if malformed
         if not all(0 < e < math.inf for e in self.epsilons):
             raise ValidationError("experiment.epsilons must be positive and finite")
@@ -121,7 +118,7 @@ def _parse(section: str, f, raw: str):
 
 
 def from_ini(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser(interpolation=None, strict=True)
+    parser = configparser.ConfigParser(interpolation=None, strict=True, default_section="")
     try:
         parser.read_string(text)
     except configparser.MissingSectionHeaderError as exc:

@@ -111,7 +111,7 @@ class TrialRecord:
 _CSV_FIELDS = [f for f in fields(TrialRecord) if f.metadata.get("csv", True)]
 CSV_COLUMNS = tuple(f.name for f in _CSV_FIELDS)
 # field annotation -> parser of the text `_fmt` writes
-_PARSERS = {"int": int, "float": float, "bool": lambda text: text == "true"}
+_PARSERS = {"int": int, "float": float, "bool": {"true": True, "false": False}.__getitem__}
 
 
 def run_trial(d: int, n: int, m_policy: MPolicy, master_seed: int, trial_index: int) -> TrialRecord:
@@ -215,11 +215,27 @@ def write_trials_csv(path: str, records: Sequence[TrialRecord]) -> None:
 
 
 def read_trials_csv(path: str) -> list[TrialRecord]:
+    """Trials CSV records; the header must be `CSV_COLUMNS` and each cell its column's type."""
     with open(path, newline="") as fh:
-        return [
-            TrialRecord(**{f.name: _PARSERS[f.type](row[f.name]) for f in _CSV_FIELDS})
-            for row in csv.DictReader(fh)
-        ]
+        rows = csv.reader(fh)
+        header = tuple(next(rows, ()))
+        if header != CSV_COLUMNS:
+            missing = [col for col in CSV_COLUMNS if col not in header]
+            unknown = [col for col in header if col not in CSV_COLUMNS]
+            raise ValidationError(f"{path}: missing columns {missing}, unknown columns {unknown}")
+        records = []
+        for row in rows:
+            where, values = f"{path} line {rows.line_num}", {}
+            if len(row) != len(CSV_COLUMNS):
+                raise ValidationError(f"{where}: {len(row)} cells, not {len(CSV_COLUMNS)}")
+            for f, text in zip(_CSV_FIELDS, row):
+                try:
+                    values[f.name] = _PARSERS[f.type](text)
+                except (KeyError, ValueError):
+                    raise ValidationError(
+                        f"{where}, column {f.name}: {text!r} is not a valid {f.type}") from None
+            records.append(TrialRecord(**values))
+        return records
 
 
 @dataclass(frozen=True)
@@ -362,28 +378,6 @@ def _per_n_seed(master_seed: int, n: int) -> int:
     return int(np.random.SeedSequence(master_seed, spawn_key=(n,)).generate_state(1, np.uint64)[0])
 
 
-def run_experiment(config) -> None:
-    """Run the experiment a validated `config.ExperimentConfig` describes:
-    the trials for each n, the trials CSV, the JSON report and, when
-    `plots_dir` is set and the concentration statistics exist, the
-    plot-data series.  Trials that hit the memory guard keep their CSV
-    rows (k = r = 0, uncertified); once every output is written, the run
-    raises MemoryBudgetExceeded with their number.  A positive
-    `memory_budget_mb` holds as ARW_MEMORY_BUDGET_MB for the run (worker
-    processes inherit it); the prior value, or its absence, is restored
-    afterwards."""
-    saved = os.environ.get("ARW_MEMORY_BUDGET_MB")
-    if config.memory_budget_mb > 0:
-        os.environ["ARW_MEMORY_BUDGET_MB"] = str(config.memory_budget_mb)
-    try:
-        _run_experiment(config)
-    finally:
-        if saved is None:
-            os.environ.pop("ARW_MEMORY_BUDGET_MB", None)
-        else:
-            os.environ["ARW_MEMORY_BUDGET_MB"] = saved
-
-
 def _str_keys(obj):
     """`obj` with str(key) for every dict key at any depth, so `sort_keys`
     orders float and int keys as the strings json writes."""
@@ -394,7 +388,13 @@ def _str_keys(obj):
     return obj
 
 
-def _run_experiment(config) -> None:
+def run_experiment(config) -> None:
+    """Run the experiment a validated `config.ExperimentConfig` describes:
+    the trials for each n, the trials CSV, the JSON report and, when
+    `plots_dir` is set and the concentration statistics exist, the
+    plot-data series.  Trials that hit the memory guard keep their CSV
+    rows (k = r = 0, uncertified); once every output is written, the run
+    raises MemoryBudgetExceeded with their number."""
     if config.policy == "explicit":
         ns = sorted(config.n_values)
     else:

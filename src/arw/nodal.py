@@ -43,7 +43,7 @@ import numpy as np
 
 from . import field as field_module
 from . import rng
-from .errors import MemoryBudgetExceeded, PerturbationTooLarge, Uncertified
+from .errors import MemoryBudgetExceeded, PerturbationTooLarge, Uncertified, ValidationError
 from .field import FieldGrid, WaveSample, _spectrum_rows, eval_grid, sample_from_arrays
 
 # Counts may move by max(1, this fraction of the count) across a grid doubling.
@@ -659,6 +659,8 @@ def perturb_and_compare(
     verified on the grid against alpha/2 and beta*L/2 before comparing.
     Components are matched by overlap of their mixed-cell sets.
     """
+    if not 0.0 <= perturbation_scale < math.inf:
+        raise ValidationError(f"perturbation scale {perturbation_scale!r} is not in [0, inf)")
     base = analyze(sample, M)
     if not base.certified:
         raise Uncertified("base sample is not certified")
@@ -669,7 +671,7 @@ def perturb_and_compare(
     ga, gb = rng.normal_pairs(perturb_seed, sample.trial_index, shell.half_points.shape[0])
     raw = sample_from_arrays(shell, ga, gb)
     raw_norm = raw.coef_norm()
-    scale = perturbation_scale / raw_norm if (perturbation_scale > 0 and raw_norm > 0) else 0.0
+    scale = perturbation_scale / raw_norm if raw_norm > 0 else 0.0
     g = sample_from_arrays(shell, ga * scale, gb * scale)
 
     sup_g = float(np.max(np.abs(eval_grid(g, base.M).values)))

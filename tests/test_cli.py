@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import os
 import struct
 
 import numpy as np
@@ -255,7 +254,6 @@ def test_config_roundtrip_every_field():
         master_seed=5,
         epsilons=(0.05, 0.125),
         parallelism=2,
-        memory_budget_mb=64,
         csv="t.csv",
         report="r.json",
         plots_dir="plots",
@@ -275,6 +273,15 @@ def test_config_unknown_section_rejected():
     text = MINIMAL_CONFIG.format(csv="a.csv", report="r.json") + "\n[extra]\nx = 1\n"
     with pytest.raises(ValidationError, match="extra"):
         from_ini(text)
+
+
+@pytest.mark.parametrize("output", ["", "\n[output]\ncsv = a\nreport = b\n"],
+                         ids=["no_output", "with_output"])
+def test_config_default_section_rejected(output):
+    # configparser would copy [DEFAULT]'s keys into every section
+    text = "[DEFAULT]\ntrials = 5\n\n[experiment]\nd = 2\npolicy = explicit\nn_values = 25\n"
+    with pytest.raises(ValidationError, match=r"unknown section \[DEFAULT\]"):
+        from_ini(text + output)
 
 
 def test_config_parse_error_reports_line():
@@ -320,20 +327,6 @@ def test_experiment_rerun_identical_csv(tmp_path):
     assert rows_a == rows_b
 
 
-@pytest.mark.parametrize("before", [None, "300"])
-def test_run_config_restores_memory_budget_env(tmp_path, monkeypatch, before):
-    if before is None:
-        monkeypatch.delenv("ARW_MEMORY_BUDGET_MB", raising=False)
-    else:
-        monkeypatch.setenv("ARW_MEMORY_BUDGET_MB", before)
-    config = tmp_path / "run.ini"
-    text = MINIMAL_CONFIG.format(csv=tmp_path / "trials.csv", report=tmp_path / "report.json")
-    config.write_text(text.replace("master_seed = 11", "master_seed = 11\nmemory_budget_mb = 64"))
-    assert cli.run_config(str(config)) == 0
-    assert json.loads((tmp_path / "report.json").read_text())["config"]["memory_budget_mb"] == 64
-    assert os.environ.get("ARW_MEMORY_BUDGET_MB") == before
-
-
 def test_malformed_memory_budget_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ARW_MEMORY_BUDGET_MB", "abc")
     out = tmp_path / "field.bin"
@@ -362,7 +355,7 @@ def test_malformed_memory_budget_exit_code(tmp_path, monkeypatch, capsys):
         ("policy = nope", "experiment.policy 'nope'"),
         ("trials = 0", "experiment.trials must be >= 1"),
         ("parallelism = 0", "experiment.parallelism must be >= 1"),
-        ("memory_budget_mb = -1", "experiment.memory_budget_mb must be >= 0"),
+        ("memory_budget_mb = 64", "unknown key experiment.memory_budget_mb"),
         ("trials = two", "experiment.trials: 'two' is not an integer"),
         ("trials 2", "malformed config at line 3"),
         ("trials = 3\ntrials = 4", "option 'trials' in section 'experiment' already exists"),
@@ -370,7 +363,7 @@ def test_malformed_memory_budget_exit_code(tmp_path, monkeypatch, capsys):
     ids=[
         "n_zero", "n_repeated", "epsilon_nan", "per_L_negative", "fixed_zero", "n_empty_shell",
         "seed_negative", "policy_admits_no_n", "n_range_reversed", "d_one", "policy_unknown",
-        "trials_zero", "parallelism_zero", "budget_negative", "trials_not_int",
+        "trials_zero", "parallelism_zero", "budget_key", "trials_not_int",
         "line_without_equals", "key_repeated",
     ],
 )
@@ -460,11 +453,12 @@ def test_experiment_runs_a_sequence_policy(tmp_path):
     assert json.loads((tmp_path / "r.json").read_text())["n_values"] == expected
 
 
-def test_experiment_memory_guard_exit_code(tmp_path, capsys):
+def test_experiment_memory_guard_exit_code(tmp_path, monkeypatch, capsys):
     # every grid is refused: the outputs are still written, then the run fails
+    monkeypatch.setenv("ARW_MEMORY_BUDGET_MB", "1")
     text = MINIMAL_CONFIG.format(csv=tmp_path / "t.csv", report=tmp_path / "r.json")
     text = text.replace("n_values = 25", "n_values = 25,65").replace("trials = 2", "trials = 3")
-    text = text.replace("m_policy = per_L:16", "m_policy = fixed:1024\nmemory_budget_mb = 1")
+    text = text.replace("m_policy = per_L:16", "m_policy = fixed:1024")
     config = tmp_path / "run.ini"
     config.write_text(text)
     assert run_cli("experiment", "--config", str(config)) == 1
@@ -473,12 +467,13 @@ def test_experiment_memory_guard_exit_code(tmp_path, capsys):
     assert json.loads((tmp_path / "r.json").read_text())["errors"] == 6
 
 
-def test_parallel_workers_share_memory_budget(tmp_path, capsys):
+def test_parallel_workers_share_memory_budget(tmp_path, monkeypatch, capsys):
     # 1 MiB admits a 128^2 grid (48 B/cell) but not its 256^2 refinement, so
-    # each trial falls back to M = 128; two workers get 0.5 MiB each, which
-    # does not admit 128^2
+    # each trial falls back to M = 128; two forked workers inherit the budget
+    # and get 0.5 MiB each, which does not admit 128^2
+    monkeypatch.setenv("ARW_MEMORY_BUDGET_MB", "1")
     text = MINIMAL_CONFIG.format(csv=tmp_path / "t.csv", report=tmp_path / "r.json")
-    text = text.replace("m_policy = per_L:16", "m_policy = fixed:128\nmemory_budget_mb = 1")
+    text = text.replace("m_policy = per_L:16", "m_policy = fixed:128")
     config = tmp_path / "run.ini"
     config.write_text(text)
     assert run_cli("experiment", "--config", str(config)) == 0

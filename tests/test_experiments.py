@@ -146,6 +146,42 @@ def test_csv_rows_end_in_newline_only(tmp_path):
     assert read_trials_csv(str(path)) == records
 
 
+def _edited_csv(tmp_path, edit):
+    """A two-row trials CSV whose lines went through `edit`."""
+    path = tmp_path / "trials.csv"
+    write_trials_csv(str(path), [synthetic_record(25, 4, trial=t) for t in range(2)])
+    path.write_text("".join(edit(line) + "\n" for line in path.read_text().splitlines()))
+    return str(path)
+
+
+def _drop_column(name):
+    at = experiments.CSV_COLUMNS.index(name)
+    return lambda line: ",".join(cell for i, cell in enumerate(line.split(",")) if i != at)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_drop_column("k"), r"missing columns \['k'\], unknown columns \[\]"),
+        (lambda line: line + (",note" if line.startswith("trial_index") else ",x"),
+         r"missing columns \[\], unknown columns \['note'\]"),
+        (lambda line: line.replace(",true,", ",yes,"),
+         r"line 2, column certified: 'yes' is not a valid bool"),
+        (lambda line: line.replace("0,0,2,25,8,16,4,", "0,0,2,25,8,16,four,"),
+         r"line 2, column k: 'four' is not a valid int"),
+        (lambda line: line.replace(",0.3,", ",0.3x,"),
+         r"line 2, column beta: '0.3x' is not a valid float"),
+        (lambda line: line if line.startswith("trial_index") else line.rsplit(",", 1)[0],
+         r"line 2: 13 cells, not 14"),
+    ],
+    ids=["column_missing", "column_unknown", "bool_not_true_false", "int_malformed",
+         "float_malformed", "row_short"],
+)
+def test_read_trials_csv_rejects_malformed_files(tmp_path, edit, message):
+    with pytest.raises(ValidationError, match=message):
+        read_trials_csv(_edited_csv(tmp_path, edit))
+
+
 def test_csv_deterministic_across_parallelism(tmp_path):
     policy = MPolicy.parse("per_L:16")
     paths = []

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from arw import field, lattice, nodal
-from arw.errors import PerturbationTooLarge, Uncertified
+from arw.errors import PerturbationTooLarge, Uncertified, ValidationError
 
 from oracles import (
     flood_fill_components,
@@ -1109,6 +1109,14 @@ def test_perturb_cosine_explicit():
 def test_perturb_too_large():
     with pytest.raises(PerturbationTooLarge):
         nodal.perturb_and_compare(make_sample(2, 65, 2025, trial=1), 10.0, 4, 144)
+
+
+@pytest.mark.parametrize("scale", [-1.0, math.nan, math.inf])
+def test_perturb_rejects_scale_outside_zero_to_inf(monkeypatch, scale):
+    # refused before the base sample is analyzed
+    monkeypatch.setattr(nodal, "analyze", None)
+    with pytest.raises(ValidationError, match="perturbation scale"):
+        nodal.perturb_and_compare(make_sample(2, 65, 2025, trial=1), scale, 4, 144)
 
 
 def test_perturb_builds_no_gradient_grid(monkeypatch):
