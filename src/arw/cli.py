@@ -78,15 +78,6 @@ def cmd_count(args) -> int:
     scale = max(1.0, float(np.max(np.abs(regen.values))))
     if float(np.max(np.abs(regen.values - grid.values))) > 1e-9 * scale:
         raise ValidationError("grid file does not match its recorded seed provenance")
-    for axis, path in enumerate(args.grad_in or []):
-        gref = gridio.read_grid(path)
-        # headers first: the value test broadcasts a grid of another d
-        if any(getattr(gref, name) != getattr(grid, name) for name in gridio._FIELDS):
-            raise ValidationError(f"gradient grid {path} header does not match the value grid")
-        gregen = field.eval_grid(sample, grid.M, (axis,))
-        gscale = max(1.0, float(np.max(np.abs(gregen.values))))
-        if float(np.max(np.abs(gref.values - gregen.values))) > 1e-9 * gscale:
-            raise ValidationError(f"gradient grid {path} is inconsistent with the value grid")
     summary = nodal.analyze(sample, grid.M, auto_refine=args.auto_refine)
     # every summary field but the vertex margin mu, arrays as lists
     payload = {}
@@ -331,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="nodal counts of a stored grid")
     p.add_argument("--in", dest="in", required=True)
-    p.add_argument("--grad-in", action="append", default=[], help="gradient component grids")
     p.add_argument("--report", default=None)
     p.add_argument("--auto-refine", action="store_true")
     p.set_defaults(fn=cmd_count)

@@ -70,6 +70,8 @@ class ExperimentConfig:
         MPolicy.parse(self.m_policy)  # raises ValidationError if malformed
         if not all(0 < e < math.inf for e in self.epsilons):
             raise ValidationError("experiment.epsilons must be positive and finite")
+        if len(set(self.epsilons)) < len(self.epsilons):
+            raise ValidationError("experiment.epsilons must not repeat a value")
         if not self.csv or not self.report:
             raise ValidationError("output.csv and output.report are required")
         return self

@@ -185,6 +185,8 @@ def run_trials(
     and they split the budget evenly, so no idle worker takes a share."""
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    if parallelism < 1:
+        raise ValidationError("parallelism must be >= 1")
     args = (repeat(d), repeat(n), repeat(m_policy), repeat(master_seed), range(trials))
     workers = min(parallelism, trials)
     if workers <= 1:

@@ -145,10 +145,16 @@ class FieldGrid:
     trial_index: int = 0
 
 
+def _require_pairs(shell: LatticeShell) -> None:
+    shell.require_nonempty()
+    if shell.n == 0:  # the origin alone: an empty half shell, no coefficient pair
+        raise ValidationError("the n=0 shell is the origin alone; a wave needs n >= 1")
+
+
 def sample_coefficients(shell: LatticeShell, seed: int, trial_index: int) -> WaveSample:
     """Draw i.i.d. N(0,1) coefficient pairs in fixed half-shell order from
     the (seed, trial_index) stream."""
-    shell.require_nonempty()
+    _require_pairs(shell)
     a, b = rng.normal_pairs(seed, trial_index, shell.half_points.shape[0])
     a.setflags(write=False)
     b.setflags(write=False)
@@ -159,7 +165,7 @@ def sample_from_arrays(
     shell: LatticeShell, a: np.ndarray, b: np.ndarray, seed: int = 0, trial_index: int = 0
 ) -> WaveSample:
     """Wrap explicit coefficient arrays (deterministic fixtures, sums)."""
-    shell.require_nonempty()
+    _require_pairs(shell)
     a = np.asarray(a, dtype=float).copy()
     b = np.asarray(b, dtype=float).copy()
     if a.shape != (shell.half_points.shape[0],) or b.shape != a.shape:

@@ -429,17 +429,6 @@ def _gradient_norm_blocks(sample: WaveSample, M: int):
         yield rows, np.sqrt(total, out=total)
 
 
-def gradient_norm_grid(sample: WaveSample, M: int) -> np.ndarray:
-    """|grad f| on the M^d grid, assembled from the row blocks that
-    `stability_margins` reduces; equal to the norm of the d derivative
-    grids of `eval_grid`."""
-    d = sample.shell.d
-    out = np.empty((M ** (d - 1), M))
-    for rows, gradnorm in _gradient_norm_blocks(sample, M):
-        out[rows] = gradnorm
-    return out.reshape((M,) * d)
-
-
 def stability_margins(sample: WaveSample, grid_value: FieldGrid) -> Margins:
     """Margins (alpha, beta) and the vertex margin mu of one value grid.
 
@@ -657,7 +646,9 @@ def perturb_and_compare(
     The perturbation g is drawn from the (perturb_seed, trial_index)
     stream and rescaled to L2 norm `perturbation_scale`; its sup norms are
     verified on the grid against alpha/2 and beta*L/2 before comparing.
-    Components are matched by overlap of their mixed-cell sets.
+    Only the base wave is analyzed; the perturbed wave is counted once, on
+    the base's finest grid.  Components are matched by overlap of their
+    mixed-cell sets.
     """
     if not 0.0 <= perturbation_scale < math.inf:
         raise ValidationError(f"perturbation scale {perturbation_scale!r} is not in [0, inf)")
@@ -685,26 +676,24 @@ def perturb_and_compare(
     perturbed = sample_from_arrays(
         shell, np.asarray(sample.a) + ga * scale, np.asarray(sample.b) + gb * scale
     )
-    # same shell, M and budget: both analyses end on the same grid, whose
-    # deterministic recount gives the labels behind their diameters
-    pert = analyze(perturbed, M)
-    lab_b, lab_a = (
-        count_components(sign_grid(eval_grid(s, base.M)))[4].ravel() for s in (sample, perturbed)
-    )
+    # both waves are counted on the base's finest grid; the base's
+    # deterministic recount gives the labels behind its diameters
+    lab_b = count_components(sign_grid(eval_grid(sample, base.M)))[4]
+    k_a, _, diam_a, _, lab_a = count_components(sign_grid(eval_grid(perturbed, base.M)))
     both = (lab_b > 0) & (lab_a > 0)
-    pair_ids = lab_b[both].astype(np.int64) * (pert.k + 1) + lab_a[both]
+    pair_ids = lab_b[both].astype(np.int64) * (k_a + 1) + lab_a[both]
     uniq, counts = np.unique(pair_ids, return_counts=True)
-    overlap_b, overlap_a = np.divmod(uniq, pert.k + 1)
+    overlap_b, overlap_a = np.divmod(uniq, k_a + 1)
     # each base component takes the perturbed one sharing the most mixed
     # cells, the smaller perturbed id on a tie; shifts in base-id order
     order = np.lexsort((overlap_a, -counts, overlap_b))
     bid, first = np.unique(overlap_b[order], return_index=True)
     aid = overlap_a[order][first]
-    shifts = base.component_diameters[bid - 1] - pert.component_diameters[aid - 1]
+    shifts = base.component_diameters[bid - 1] - diam_a[aid - 1]
     h = 1.0 / base.M
     return PerturbationResult(
         n_before=base.k,
-        n_after=pert.k,
+        n_after=k_a,
         diam_shifts=shifts.astype(float),
         matched=int(bid.size),
         alpha=alpha,

@@ -1,8 +1,6 @@
-import dataclasses
 import json
 import struct
 
-import numpy as np
 import pytest
 
 from arw import cli, experiments, field, gridio, lattice, nodal
@@ -187,36 +185,33 @@ def test_count_rejects_unreadable_grid_file(tmp_path, capsys, damage, message):
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
 
 
-def test_count_with_gradient_files(tmp_path):
-    from arw import field, lattice
-
+def test_count_rejects_grad_in(tmp_path):
+    # arw count has no --grad-in flag: argparse refuses it before any grid is read
     out = tmp_path / "field.bin"
     run_cli("sample", "--dim", "2", "--n", "25", "--seed", "5", "--trial", "0",
             "--grid", "16", "--out", str(out))
-    shell = lattice.enumerate_shell(2, 25)
-    sample = field.sample_coefficients(shell, 5, 0)
-    grads = []
-    for axis in range(2):
-        gpath = tmp_path / f"grad{axis}.bin"
-        gridio.write_grid(str(gpath), field.eval_grid(sample, 16, (axis,)))
-        grads.append(str(gpath))
-    assert run_cli("count", "--in", str(out), "--grad-in", grads[0], "--grad-in", grads[1]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli("count", "--in", str(out), "--grad-in", str(out))
+    assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("header", [{"d": 3}, {"n": 13}, {"seed": 6}, {"trial_index": 1}])
-def test_count_rejects_gradient_file_of_another_grid(tmp_path, capsys, header):
-    # the file holds the value grid's true d/dx0, so only its header tells
-    # them apart; a d=3 file of 16 such slabs broadcasts against the d=2 grid
-    out = tmp_path / "v2.bin"
-    run_cli("sample", "--dim", "2", "--n", "5", "--seed", "5", "--trial", "0",
-            "--grid", "16", "--out", str(out))
-    grad = field.eval_grid(field.sample_coefficients(lattice.enumerate_shell(2, 5), 5, 0), 16, (0,))
-    if "d" in header:
-        grad = dataclasses.replace(grad, values=np.broadcast_to(grad.values, (16,) * 3))
-    fake = tmp_path / "grad.bin"
-    gridio.write_grid(str(fake), dataclasses.replace(grad, **header))
-    assert run_cli("count", "--in", str(out), "--grad-in", str(fake)) == 2
-    assert "header does not match the value grid" in capsys.readouterr().err
+def test_sample_refuses_origin_shell(tmp_path, capsys):
+    # the n=0 shell is the origin alone, so its wave has no coefficient pair
+    out = tmp_path / "zero.bin"
+    assert run_cli("sample", "--dim", "2", "--n", "0", "--seed", "1", "--grid", "4",
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "n=0" in err[0]
+    assert not out.exists()
+
+
+def test_count_refuses_origin_shell_file(tmp_path, capsys):
+    out = tmp_path / "zero.bin"
+    header = gridio._HEADER.pack(gridio.MAGIC, gridio.VERSION, 2, 0, 4, 1, 0)
+    out.write_bytes(header + b"\0" * (8 * 4 * 4))
+    assert run_cli("count", "--in", str(out)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "n=0" in err[0]
 
 
 def test_algebra_command(capsys):
@@ -345,6 +340,7 @@ def test_malformed_memory_budget_exit_code(tmp_path, monkeypatch, capsys):
         ("n_values = 0,5", "n_values must be >= 1"),
         ("n_values = 5,5", "n_values must not repeat"),
         ("epsilons = nan", "epsilons must be positive and finite"),
+        ("epsilons = 0.05,0.05", "epsilons must not repeat"),
         ("m_policy = per_L:-4", "must be >= 1"),
         ("m_policy = fixed:0", "must be >= 1"),
         ("n_values = 5,7", "n_values [7] are not sums of 2 squares"),
@@ -361,7 +357,7 @@ def test_malformed_memory_budget_exit_code(tmp_path, monkeypatch, capsys):
         ("trials = 3\ntrials = 4", "option 'trials' in section 'experiment' already exists"),
     ],
     ids=[
-        "n_zero", "n_repeated", "epsilon_nan", "per_L_negative", "fixed_zero", "n_empty_shell",
+        "n_zero", "n_repeated", "epsilon_nan", "epsilon_repeated", "per_L_negative", "fixed_zero", "n_empty_shell",
         "seed_negative", "policy_admits_no_n", "n_range_reversed", "d_one", "policy_unknown",
         "trials_zero", "parallelism_zero", "budget_key", "trials_not_int",
         "line_without_equals", "key_repeated",

@@ -65,6 +65,18 @@ def test_run_trials_parallelism_determinism():
         assert a.alpha == b.alpha and a.beta == b.beta
 
 
+@pytest.mark.parametrize("parallelism", [0, -1])
+def test_run_trials_rejects_parallelism_below_one(monkeypatch, parallelism):
+    # refused before any trial runs, serially or in a pool
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "run_trial", refuse)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", refuse)
+    with pytest.raises(ValidationError, match="parallelism must be >= 1"):
+        run_trials(2, 25, 2, MPolicy.parse("per_L:16"), 1, parallelism=parallelism)
+
+
 def test_run_trials_forks_after_overlapped_analyze(monkeypatch):
     # analyze joins its worker thread, so the pool forks a process with no
     # live threads; with the core-count decision pinned, the forked workers

@@ -531,7 +531,10 @@ def test_stability_margins_blocks_keep_mu_exact(d, n, M, product):
     bins = int(sample.shell.half_points[:, -1].max()) + 1
     assert (16 * bins <= M) == product  # the last axis by the product or by irfft
     L = sample.shell.L
-    gradnorm = nodal.gradient_norm_grid(sample, M)
+    gradnorm = np.empty((rows, M))
+    for block_rows, block in nodal._gradient_norm_blocks(sample, M):
+        gradnorm[block_rows] = block
+    gradnorm = gradnorm.reshape((M,) * d)
     assert np.array_equal(gradnorm, np.sqrt(sum(
         np.square(field.eval_grid(sample, M, (axis,)).values) for axis in range(d)
     )))
@@ -677,7 +680,9 @@ def test_stability_margins_zero_field():
 def test_margin_dichotomy_holds_at_vertices():
     sample = make_sample(2, 65, 5)
     grid = field.eval_grid(sample, 32)
-    gradnorm = nodal.gradient_norm_grid(sample, 32)
+    gradnorm = np.sqrt(sum(
+        np.square(field.eval_grid(sample, 32, (axis,)).values) for axis in range(2)
+    ))
     margins = nodal.stability_margins(sample, grid)
     L = math.sqrt(65)
     ok = (np.abs(grid.values) > margins.alpha) | (gradnorm > margins.beta * L)
@@ -715,11 +720,8 @@ def test_analyze_counts_through_the_kernels(monkeypatch):
 
 def test_analyze_builds_no_gradient_grid(monkeypatch):
     # margins reduce row blocks of the derivative syntheses: one eval_grid
-    # call per pass, at 2M and each doubling after it, and no derivative or
-    # |grad f| grid, also when every pass takes its grid's margins
-    def refuse(sample, M):
-        raise AssertionError("a gradient grid on the trial path")
-
+    # call per pass, at 2M and each doubling after it, and no derivative
+    # grid, also when every pass takes its grid's margins
     calls = []
     real = nodal.eval_grid
 
@@ -727,7 +729,6 @@ def test_analyze_builds_no_gradient_grid(monkeypatch):
         calls.append((M, tuple(derivative)))
         return real(sample, M, derivative)
 
-    monkeypatch.setattr(nodal, "gradient_norm_grid", refuse)
     monkeypatch.setattr(nodal, "eval_grid", spy)
     for (d, n, M), auto_refine in itertools.product(((2, 65, 48), (3, 9, 12)), (False, True)):
         calls.clear()
@@ -1120,16 +1121,43 @@ def test_perturb_rejects_scale_outside_zero_to_inf(monkeypatch, scale):
 
 
 def test_perturb_builds_no_gradient_grid(monkeypatch):
-    # sup |grad g| is the maximum over the row blocks the margins reduce
-    def refuse(sample, M):
-        raise AssertionError("a |grad g| grid")
+    # sup |grad g| is the maximum over the row blocks the margins reduce,
+    # so every eval_grid call synthesizes values, never a derivative
+    tags = []
+    real = nodal.eval_grid
 
-    monkeypatch.setattr(nodal, "gradient_norm_grid", refuse)
+    def spy(sample, M, derivative=()):
+        tags.append(tuple(derivative))
+        return real(sample, M, derivative)
+
+    monkeypatch.setattr(nodal, "eval_grid", spy)
     sample = make_sample(2, 65, 2025, trial=1)
     res = nodal.perturb_and_compare(sample, 1e-4, 4, 144)
     assert res.n_before == res.n_after == res.matched
     with pytest.raises(PerturbationTooLarge):
         nodal.perturb_and_compare(sample, 10.0, 4, 144)
+    assert tags and set(tags) == {()}
+
+
+def test_perturb_analyzes_only_the_base_wave(monkeypatch):
+    # the base wave needs certification and margins; the perturbed wave
+    # needs only its components on the base's finest grid, and each wave
+    # is counted there once more for its labels
+    calls = []
+
+    def spy(name):
+        real = getattr(nodal, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("analyze", "count_components"):
+        monkeypatch.setattr(nodal, name, spy(name))
+    res = nodal.perturb_and_compare(make_sample(2, 65, 2025, trial=1), 1e-4, 4, 144)
+    assert calls == ["analyze", "count_components", "count_components"]
+    assert res.n_before == res.n_after == res.matched
 
 
 def test_perturb_uncertified_rejected():
