@@ -354,6 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    experiments.one_blas_thread()
     try:
         return args.fn(args)
     except ValidationError as exc:

@@ -155,19 +155,26 @@ def _openblas() -> Optional[ctypes.CDLL]:
     return None
 
 
-def _share_budget(workers: int) -> None:
-    """Pool initializer: the workers split one memory budget evenly, and
-    each runs OpenBLAS on one thread, so P workers keep P BLAS threads.
+def one_blas_thread() -> None:
+    """Run this process's OpenBLAS on one thread.
 
-    Workers are forked with OpenBLAS already loaded, so the thread count is
-    set through the library itself; an environment variable would come too
-    late.  Without NumPy's bundled library or its setter this is a no-op.
+    The small products of a synthesis only contend on more threads, and
+    parallel trials take one process each.  NumPy loads OpenBLAS on
+    import, so the thread count is set through the library itself; an
+    environment variable would come too late.  Without NumPy's bundled
+    library or its setter this is a no-op.
     """
-    field_module._budget_shares = workers
     setter = getattr(_openblas(), "scipy_openblas_set_num_threads64_", None)
     if setter is not None:
         setter.argtypes, setter.restype = [ctypes.c_int], None
         setter(1)
+
+
+def _share_budget(workers: int) -> None:
+    """Pool initializer: the workers split one memory budget evenly, and
+    each runs OpenBLAS on one thread, so P workers keep P BLAS threads."""
+    field_module._budget_shares = workers
+    one_blas_thread()
 
 
 def run_trials(

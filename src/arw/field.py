@@ -12,13 +12,13 @@ are built by pruned real synthesis (Markel 1971): the field has at most
 2*sqrt(n) + 1 distinct frequencies per axis, so the leading axes are
 expanded by small DFT matrices over those frequencies, and no full M^d
 complex spectrum is formed.  The last axis holds at most floor(sqrt(n)) + 1
-nonnegative frequencies (bins).  When 16 * bins <= M it is finished by one
-real matrix product with a (2 * bins) x M table of inverse FFTs of unit
-bins, otherwise by a real inverse FFT of length M (see `eval_grid`).
-What does not depend on the coefficients (the folding, the DFT matrices
-and the table) is one cached plan per shell and M (`_plan`), and the last
-axis can be finished on any block of grid rows (`_spectrum_rows`), which
-lets `nodal.stability_margins` reduce the gradient with no M^d grid.
+nonnegative frequencies (bins), and it is finished by one real matrix
+product with a (2 * bins) x M table of inverse FFTs of unit bins (see
+`eval_grid`).  What does not depend on the coefficients (the folding,
+the DFT matrices and the table) is one cached plan per shell and M
+(`_plan`), and the last axis can be finished on any block of grid rows
+(`_spectrum_rows`), which lets `nodal.stability_margins` reduce the
+gradient with no M^d grid.
 
 Complex amplitude convention (single source of truth): the value placed at
 frequency +lambda is (a - i*b)/2 * sqrt(2/N), and its conjugate sits at
@@ -50,13 +50,15 @@ from .lattice import LatticeShell, orthogonality_sums
 DEFAULT_MEMORY_BUDGET_MB = 512
 # What one M^d grid costs against the budget: the tracemalloc peak of a
 # whole `nodal.analyze` per cell of its finest grid.  At per_L:16 with the
-# stages overlapped on two threads it is 19.6-22.4 B at d=2 (n=325 and
-# 1105; 18.0-18.6 B in order) and 20.1-21.9 B at d=3 (n=17); under
-# auto_refine it is 15.6-18.0 B at d=2 (n=325 and 1105).  At the alias
-# floor (n=1105, M 68 -> 136) it is 61-68 B, because fixed costs dominate
-# an 18,496-cell grid; the budget matters only for large grids.
-# (tracemalloc, seeds 1301, 1421 and 7.)
+# stages overlapped on two threads it is 20.6-23.2 B at d=2 (n=325 and
+# 1105) and 21.2-21.4 B at d=3 (n=17); it was 18.0-18.6 B at d=2 in order,
+# and 15.6-18.0 B at d=2 under auto_refine (n=325 and 1105).  At the alias
+# floor (n=1105, M 68 -> 136) it is 67-74 B, because fixed costs dominate
+# an 18,496-cell grid; the last-axis table is 4 B of that.  The budget
+# matters only for large grids.  (tracemalloc, seeds 1301, 1421 and 7.)
 ANALYZE_BYTES_PER_CELL = 48
+# The last-axis product pads its rows and columns to multiples of this.
+_TILE = 8
 
 
 # Processes that share the budget evenly; a pool worker of
@@ -226,8 +228,8 @@ def _plan(d: int, M: int, half_points: bytes):
     bins, table): which lambda fold onto -lambda, which lie on the
     lambda_d = 0 plane, the spectrum index of each folded lambda, the
     leading-axis M x k DFT matrices, the last axis's bin count, and its
-    (2 * bins) x M product table, or None on the irfft path.  Every array
-    is read-only.
+    product table: (2 * bins) rows of length M, padded with zeros to a
+    multiple of `_TILE` (see `_spectrum_rows`).  Every array is read-only.
     """
     lam = np.frombuffer(half_points, dtype=np.int64).reshape(-1, d)
     flip = lam[:, -1] < 0
@@ -240,13 +242,12 @@ def _plan(d: int, M: int, half_points: bytes):
         dfts.append(np.exp((2j * np.pi / M) * phase))
     index.append(lam[:, -1])
     bins = int(lam[:, -1].max()) + 1
-    table = None
-    if 16 * bins <= M:
-        # row b of the table is irfft of a unit at bin b, row bins + b of i
-        eye = np.eye(bins)
-        table = sfft.irfft(np.concatenate([eye, 1j * eye]), n=M, axis=-1, norm="forward")
+    # row b of the table is irfft of a unit at bin b, row bins + b of i
+    eye = np.eye(bins)
+    table = np.zeros((2 * bins, -(-M // _TILE) * _TILE))
+    table[:, :M] = sfft.irfft(np.concatenate([eye, 1j * eye]), n=M, axis=-1, norm="forward")
     on_plane = lam[:, -1] == 0
-    for array in [flip, on_plane, *index, *dfts] + ([] if table is None else [table]):
+    for array in [flip, on_plane, *index, *dfts, table]:
         array.setflags(write=False)
     return flip, on_plane, tuple(index), tuple(dfts), bins, table
 
@@ -256,10 +257,16 @@ def _spectrum_rows(sample: WaveSample, M: int, derivative: tuple[int, ...]):
 
     Returns (rows, finish): `rows` is the (M^(d-1), bins) complex spectrum
     after the leading-axis DFTs, and `finish(rows[a:b])` gives the grid
-    rows a..b-1 (each of length M, C order), by the product with the
-    plan's table or by irfft.  A block of rows is finished exactly as the
-    whole grid would be, so callers that reduce a grid block by block
-    hold no M^d array.
+    rows a..b-1 (each of length M, C order) by the product with the plan's
+    table.  The product is taken on whole `_TILE` x `_TILE` tiles: the
+    block's rows and the table's columns are padded with zeros to
+    multiples of `_TILE`.  Ragged edges, a single row, or another thread
+    count's split would send some values through other BLAS kernels,
+    whose sums differ in the last bit (NumPy's OpenBLAS 0.3.31 on an
+    AVX-512 Xeon).  On whole tiles every value is summed the same way, so
+    a block of rows is finished exactly as in the whole grid, callers that
+    reduce a grid block by block hold no M^d array, and grids do not
+    depend on the BLAS thread count.
     """
     shell = sample.shell
     d = shell.d
@@ -279,9 +286,10 @@ def _spectrum_rows(sample: WaveSample, M: int, derivative: tuple[int, ...]):
     rows = spectrum.reshape(-1, bins)
 
     def finish(block: np.ndarray) -> np.ndarray:
-        if table is None:
-            return sfft.irfft(block, n=M, axis=-1, norm="forward")
-        return np.concatenate([block.real, block.imag], axis=1) @ table
+        count = len(block)
+        parts = np.zeros((-(-count // _TILE) * _TILE, 2 * bins))
+        parts[:count, :bins], parts[:count, bins:] = block.real, block.imag
+        return (parts @ table)[:count, :M]
 
     return rows, finish
 
@@ -293,20 +301,17 @@ def eval_grid(sample: WaveSample, M: int, derivative: tuple[int, ...] = ()) -> F
     leaves `bins` = max lambda_d + 1 last-axis bins.  The leading axes are
     expanded one at a time by an M x k DFT matrix over that axis's k
     distinct frequencies (k <= 2*sqrt(n) + 1).  The last axis is finished
-    in one of two ways, chosen from the input alone:
+    by one real product [rows.real | rows.imag] @ table, with table =
+    irfft([I; i*I], n=M), a (2 * bins) x M matrix.  A row with one nonzero
+    bin c is exactly Re c * irfft(unit) + Im c * irfft(i * unit), so it
+    keeps irfft's exact zeros (pure modes) and is within rounding of irfft.
 
-    - 16 * bins <= M (every per_L:16 grid at 2M, and at M when n is not
-      a square): one real product [rows.real | rows.imag] @ table, with
-      table = irfft([I; i*I], n=M), a (2 * bins) x M matrix.  A row with
-      one nonzero bin c is exactly Re c * irfft(unit) + Im c *
-      irfft(i * unit), so it keeps irfft's exact zeros (pure modes) and
-      is within rounding of irfft.
-    - otherwise: one real inverse FFT of length M.
-
-    Measured on one thread of a 2-core Xeon VM: at d=2, M=1088 (34 bins)
-    the product takes 5 ms against 17 ms for irfft; the crossover lies
-    near M = 8 * bins (M = 160 to 1088); at the alias floor the product
-    is 8x slower (n = 10^6, M = 2001).
+    The last axis alone, against a length-M irfft, on one BLAS thread of a
+    2-core Xeon VM: 1.4-6x faster at 34 and 75 bins (n = 1105 and 5525)
+    from the alias floor to 16 times it, 1.3-2.9x slower at 166 bins
+    (n = 27625), and 4-7x slower at 501 and 1001 bins near the alias
+    floor (n = 250001 and 10^6), where a whole auto_refine trial takes
+    1.3-1.7x as long as with irfft.
 
     The folding, the DFT matrices and the table depend on the shell and M
     alone; they come from the cached `_plan`, built once for a value grid
@@ -317,7 +322,7 @@ def eval_grid(sample: WaveSample, M: int, derivative: tuple[int, ...] = ()) -> F
     """
     shell = sample.shell
     rows, finish = _spectrum_rows(sample, M, derivative)
-    values = finish(rows).reshape((M,) * shell.d)
+    values = np.ascontiguousarray(finish(rows)).reshape((M,) * shell.d)
     values.setflags(write=False)
     return FieldGrid(
         d=shell.d,

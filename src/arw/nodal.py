@@ -49,7 +49,7 @@ from .field import FieldGrid, WaveSample, _spectrum_rows, eval_grid, sample_from
 # Counts may move by max(1, this fraction of the count) across a grid doubling.
 _DRIFT_TOLERANCE = 0.02
 # stability_margins synthesizes and reduces the gradient in row blocks of
-# about this many cells.
+# about this many cells, in whole tiles of the last-axis product.
 _MARGIN_BLOCK_CELLS = 1 << 15
 # analyze overlaps the coarse count and the margins with the fine count
 # only from this many finest cells: the two threads contend for the GIL
@@ -415,11 +415,13 @@ class Margins:
 
 def _gradient_norm_blocks(sample: WaveSample, M: int):
     """Yield (rows, |grad f| on those grid rows) over blocks of about
-    _MARGIN_BLOCK_CELLS cells; each block synthesizes only its rows of the
-    d first derivatives (`field._spectrum_rows`)."""
+    _MARGIN_BLOCK_CELLS cells in whole tiles of rows (`field._TILE`);
+    each block synthesizes only its rows of the d first derivatives
+    (`field._spectrum_rows`)."""
     d = sample.shell.d
     derivatives = [_spectrum_rows(sample, M, (axis,)) for axis in range(d)]
-    step = max(1, _MARGIN_BLOCK_CELLS // M)
+    tile = field_module._TILE
+    step = max(1, round(_MARGIN_BLOCK_CELLS / (M * tile))) * tile
     for start in range(0, M ** (d - 1), step):
         rows = slice(start, start + step)
         (spectrum, finish), *rest = derivatives
@@ -504,8 +506,8 @@ def _spare_core() -> bool:
 
 def _mu_floor(sample: WaveSample) -> float:
     # synthesis noise scale: treat vertex margins at rounding level as zero.
-    # eval_grid's two last-axis paths (irfft, or the product with a table of
-    # unit-bin irffts when 16 * bins <= M) agree to about 1e-15 relative.
+    # eval_grid's last-axis product with a table of unit-bin irffts is
+    # within about 1e-15 relative of an irfft of each row.
     b1 = 2.0 * np.pi * sample.shell.L * sample.coeff_l1_bound()
     return 1e-10 * max(1.0, b1)
 
@@ -531,7 +533,8 @@ def analyze(sample: WaveSample, M: int, auto_refine: bool = False) -> NodalSumma
     `auto_refine` it doubles the grid until (k, r) are unchanged for two
     consecutive refinements or the budget refuses the next doubling.  The
     summary reports the counts, geometry and margins of the finest grid,
-    but keeps no grid.
+    but keeps no grid.  M itself must be alias-free (`AliasError`
+    otherwise), also when a 2M grid would be: the drift test counts M.
 
     The other stages run on one worker thread while the calling thread
     counts, when the pass's grid has at least `_OVERLAP_CELLS` cells and
@@ -554,6 +557,7 @@ def analyze(sample: WaveSample, M: int, auto_refine: bool = False) -> NodalSumma
     the drift test.  Degenerate fields yield certified=False, never an
     error.
     """
+    field_module.require_alias_free(sample.shell.n, M)
     history = []
     try:
         value = eval_grid(sample, 2 * M)

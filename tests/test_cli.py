@@ -1,5 +1,8 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 
 import pytest
 
@@ -80,6 +83,30 @@ def test_sample_and_count_roundtrip(tmp_path, capsys):
         "M", "alpha", "beta", "certified", "component_diameters", "component_wraps",
         "domain_volumes", "k", "r", "refinement_levels", "zero_hits",
     }
+
+
+def test_cli_runs_one_blas_thread():
+    # the commands run trials in this process, where OpenBLAS would
+    # otherwise start one thread per core
+    lib = experiments._openblas()
+    if lib is None or not hasattr(lib, "scipy_openblas_get_num_threads64_"):
+        pytest.skip("NumPy's bundled OpenBLAS or its thread-count symbols are absent")
+    script = (
+        "import ctypes\n"
+        "from arw import cli, experiments\n"
+        "assert cli.main(['lattice', '--dim', '2', '--n', '5']) == 0\n"
+        "getter = experiments._openblas().scipy_openblas_get_num_threads64_\n"
+        "getter.argtypes, getter.restype = [], ctypes.c_int\n"
+        "print(getter())\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "1"
 
 
 def test_sample_rejects_negative_seed_or_trial(tmp_path, capsys):

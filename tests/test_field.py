@@ -119,10 +119,10 @@ def _last_axis_bins(shell):
 
 
 def _spy_last_axis(monkeypatch):
-    """Record the input shape of every irfft `eval_grid` makes: (2*bins,
-    bins) builds the table of the product path, anything else is the
-    irfft path's spectrum.  The table is built with the cached plan, so a
-    caller clears `field._plan` wherever it clears the shapes."""
+    """Record the input shape of every irfft `eval_grid` makes; each one
+    should build a plan's (2*bins) x M table from a (2*bins, bins) input.
+    The table is built with the cached plan, so a caller clears
+    `field._plan` wherever it clears the shapes."""
     shapes = []
 
     def irfft(x, *args, **kwargs):
@@ -135,22 +135,22 @@ def _spy_last_axis(monkeypatch):
 
 
 def test_last_axis_product_matches_full_fft_and_points(monkeypatch):
-    # M one below, at and one above 16*bins: irfft, then the product on an
-    # even and on an odd M; every first and second derivative
+    # the alias floor and M one below, at and one above 16*bins, even and
+    # odd M; every first and second derivative; irfft runs only to build
+    # the table, and the product finishes every grid
     shapes = _spy_last_axis(monkeypatch)
     rng = np.random.default_rng(12)
     for d, n in ((1, 25), (2, 25), (3, 5), (4, 3)):
         sample = field.sample_coefficients(lattice.enumerate_shell(d, n), 41, d)
         bins = _last_axis_bins(sample.shell)
         tags = [()] + [(i,) for i in range(d)] + [(i, j) for i in range(d) for j in range(i, d)]
-        for M in (16 * bins - 1, 16 * bins, 16 * bins + 1):
+        for M in (field.min_alias_free_M(n), 16 * bins - 1, 16 * bins, 16 * bins + 1):
             idx = rng.integers(0, M, size=(64, d))
             for tag in tags:
                 shapes.clear()
                 field._plan.cache_clear()
                 grid = field.eval_grid(sample, M, tag).values
-                product = shapes == [(2 * bins, bins)]
-                assert product == (M >= 16 * bins), (d, M, shapes)
+                assert shapes == [(2 * bins, bins)], (d, M, shapes)
                 full = full_spectrum_grid(sample.shell, sample.a, sample.b, M, tag)
                 direct = field.eval_points(sample, idx / M, tag)
                 scale = max(1.0, float(np.max(np.abs(full))))
@@ -158,21 +158,29 @@ def test_last_axis_product_matches_full_fft_and_points(monkeypatch):
                 assert np.max(np.abs(grid[tuple(idx.T)] - direct)) <= 1e-9 * scale, (d, M, tag)
 
 
-def test_even_slice_of_product_grid_matches_irfft_grid(monkeypatch):
-    # per_L:16 at a square n (n=25) and a 2M pair straddling the rule at
-    # n=1105: the coarse grid runs irfft, its doubled grid the product
-    shapes = _spy_last_axis(monkeypatch)
+def test_even_slice_of_doubled_grid_matches_grid_below_16_bins():
+    # per_L:16 at a square n (n=25), and a 2M pair around 16*bins at
+    # n=1105: the coarse grids have fewer than 16*bins points per axis
     for n, M in ((25, 80), (1105, 272)):
         sample = field.sample_coefficients(lattice.enumerate_shell(2, n), 43, 0)
-        bins = _last_axis_bins(sample.shell)
+        assert M < 16 * _last_axis_bins(sample.shell) <= 2 * M
         for tag in ((), (0,), (1,)):
-            shapes.clear()
-            field._plan.cache_clear()
             coarse = field.eval_grid(sample, M, tag).values
             fine = field.eval_grid(sample, 2 * M, tag).values[::2, ::2]
-            assert shapes[0] != (2 * bins, bins) and shapes[1:] == [(2 * bins, bins)]
             scale = max(1.0, float(np.max(np.abs(coarse))))
             assert np.max(np.abs(fine - coarse)) <= 1e-12 * scale, (n, tag)
+
+
+def test_grids_are_the_blocks_they_are_finished_in():
+    # any block of rows finishes exactly as in the whole grid, on M that
+    # are not multiples of the product's tile and in blocks of one row
+    for d, n, M in ((2, 1105, 67), (2, 1105, 300), (2, 27625, 333), (3, 17, 9), (3, 401, 41)):
+        sample = field.sample_coefficients(lattice.enumerate_shell(d, n), 46, 0)
+        rows, finish = field._spectrum_rows(sample, M, (0,))
+        whole = field.eval_grid(sample, M, (0,)).values.reshape(len(rows), M)
+        for step in (1, 7, 109):
+            blocks = [finish(rows[a:a + step]) for a in range(0, len(rows), step)]
+            assert np.array_equal(np.concatenate(blocks), whole), (d, n, M, step)
 
 
 def test_cached_plan_keeps_grids_and_shells_apart():
@@ -203,7 +211,7 @@ def test_cached_plan_keeps_grids_and_shells_apart():
     assert plans[0] is not plans[1]
     assert not np.array_equal(cold[0], cold[1])
     for flip, on_plane, index, dfts, bins, table in plans:
-        assert table is not None  # 16 * bins <= 64: the product path
+        assert table.shape == (2 * bins, M)  # 64 is a whole number of tiles
         for array in [flip, on_plane, *index, *dfts, table]:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -218,7 +226,7 @@ def test_one_bin_rows_of_the_product_keep_irfft_zeros():
     k = next(i for i, lam in enumerate(shell.half_points) if lam[0] == 0)
     for kind in ("cos", "sin"):
         sample = field.pure_mode(shell, (0, 1), kind)
-        for M in (32, 48, 64):
+        for M in (3, 5, 8, 31, 32, 48, 64):  # from the alias floor to 16 * bins and up
             unit = np.array([0.0, 1.0])
             table = [field.sfft.irfft(z * unit, n=M, norm="forward") for z in (1.0, 1j)]
             for tag in ((), (1,), (1, 1)):
@@ -237,7 +245,7 @@ def test_one_bin_rows_of_the_product_keep_irfft_zeros():
 @pytest.mark.parametrize(
     "d, n, M",
     [(2, 1105, 1088), (3, 17, 160), (2, 25, 80)],
-    ids=["d2-1105", "d3-17", "d2-25-irfft"],
+    ids=["d2-1105", "d3-17", "d2-25-square"],
 )
 def test_half_shift_flips_odd_n(d, n, M):
     # lambda_1 + ... + lambda_d = |lambda|^2 = n (mod 2), so
@@ -253,13 +261,14 @@ def test_half_shift_flips_odd_n(d, n, M):
 
 def test_grids_do_not_depend_on_blas_threads():
     # eval_grid's last-axis product runs in BLAS, and records must not
-    # depend on its thread count
+    # depend on its thread count, also where M is not a whole number of tiles
     script = (
         "import hashlib, json\n"
         "from arw import field, lattice\n"
         "out = []\n"
         "for d, n, M, tags in ((2, 1105, 1088, 3), (2, 325, 576, 3), (2, 65, 288, 3),\n"
-        "                      (3, 17, 160, 4), (2, 5, 96, 2)):\n"
+        "                      (3, 17, 160, 4), (2, 5, 96, 2), (2, 1105, 300, 3),\n"
+        "                      (2, 27625, 333, 3)):\n"
         "    sample = field.sample_coefficients(lattice.enumerate_shell(d, n), 77, 1)\n"
         "    for tag in ([()] + [(i,) for i in range(d)])[:tags]:\n"
         "        values = field.eval_grid(sample, M, tag).values\n"
@@ -276,7 +285,7 @@ def test_grids_do_not_depend_on_blas_threads():
         )
         assert proc.returncode == 0, proc.stderr
         digests.append(json.loads(proc.stdout.strip().splitlines()[-1]))
-    assert len(digests[0]) == 15
+    assert len(digests[0]) == 21
     assert digests[0] == digests[1]
 
 

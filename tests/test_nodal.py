@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from arw import field, lattice, nodal
-from arw.errors import PerturbationTooLarge, Uncertified, ValidationError
+from arw.errors import AliasError, PerturbationTooLarge, Uncertified, ValidationError
 
 from oracles import (
     flood_fill_components,
@@ -519,21 +519,20 @@ def test_domain_runs_tiny_grids_and_zeros():
 
 
 @pytest.mark.parametrize(
-    "d, n, M, product",
-    [(2, 5, 1000, True), (2, 1105, 300, False), (3, 5, 50, True), (3, 5, 40, False)],
+    "d, n, M",
+    [(2, 5, 1000), (2, 1105, 300), (3, 5, 50), (3, 5, 40)],
     ids=["2-1000", "2-300", "3-50", "3-40"],
 )
-def test_stability_margins_blocks_keep_mu_exact(d, n, M, product):
-    step = nodal._MARGIN_BLOCK_CELLS // M
+def test_stability_margins_blocks_keep_mu_exact(d, n, M):
     rows = M ** (d - 1)
-    assert rows > step and rows % step != 0  # several blocks, the last one partial
     sample = make_sample(d, n, 3)
-    bins = int(sample.shell.half_points[:, -1].max()) + 1
-    assert (16 * bins <= M) == product  # the last axis by the product or by irfft
     L = sample.shell.L
     gradnorm = np.empty((rows, M))
+    sizes = []
     for block_rows, block in nodal._gradient_norm_blocks(sample, M):
         gradnorm[block_rows] = block
+        sizes.append(len(block))
+    assert len(sizes) > 1 and sizes[-1] < sizes[0]  # several blocks, the last one partial
     gradnorm = gradnorm.reshape((M,) * d)
     assert np.array_equal(gradnorm, np.sqrt(sum(
         np.square(field.eval_grid(sample, M, (axis,)).values) for axis in range(d)
@@ -785,6 +784,17 @@ def test_auto_refine_stops_at_budget(monkeypatch):
     summary = nodal.analyze(sample, M, auto_refine=True)
     assert (summary.M, summary.refinement_levels) == (2 * M, 1)
     assert not summary.certified
+
+
+@pytest.mark.parametrize("budget", ["64", "20"])
+def test_analyze_refuses_M_below_alias_floor_whatever_the_budget(monkeypatch, budget):
+    # 332 is one below the n=27625 floor, 664 above it; 64 MiB admits the
+    # 664^2 grid and 20 MiB refuses it, and both must refuse M itself
+    sample = make_sample(2, 27625, 5)
+    assert field.min_alias_free_M(27625) == 333
+    monkeypatch.setenv("ARW_MEMORY_BUDGET_MB", budget)
+    with pytest.raises(AliasError, match="M=332"):
+        nodal.analyze(sample, 332)
 
 
 @pytest.mark.parametrize("d, n, M", [(2, 1105, 544), (3, 17, 80)])
